@@ -1,5 +1,5 @@
-//! Regenerates every experiment table in one run (used to produce
-//! EXPERIMENTS.md).
+//! Regenerates every experiment table in one run (the README's
+//! "Reproduce the paper's evaluation tables" command).
 fn main() {
     print!("{}", patmos_bench::all_experiments());
 }

@@ -3,9 +3,5 @@
 //! With `--json`, re-emits `baselines/regalloc_cycles.json` with fresh
 //! measurements instead of the human-readable table.
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::regalloc_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e11_regalloc());
-    }
+    patmos_bench::trajectory::bin_main("regalloc_cycles.json");
 }

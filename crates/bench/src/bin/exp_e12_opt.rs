@@ -3,9 +3,5 @@
 //! With `--json`, re-emits `baselines/opt_cycles.json` with fresh
 //! measurements instead of the human-readable table.
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::opt_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e12_opt());
-    }
+    patmos_bench::trajectory::bin_main("opt_cycles.json");
 }

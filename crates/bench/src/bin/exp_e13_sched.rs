@@ -3,9 +3,5 @@
 //! With `--json`, re-emits `baselines/sched_cycles.json` with fresh
 //! measurements instead of the human-readable table.
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::sched_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e13_sched());
-    }
+    patmos_bench::trajectory::bin_main("sched_cycles.json");
 }

@@ -3,9 +3,5 @@
 //! With `--json`, re-emits `baselines/opt2_cycles.json` with fresh
 //! measurements instead of the human-readable table.
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::opt2_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e14_opt2());
-    }
+    patmos_bench::trajectory::bin_main("opt2_cycles.json");
 }

@@ -4,9 +4,5 @@
 //! With `--json`, re-emits `baselines/opt3_cycles.json` with fresh
 //! measurements instead of the human-readable table.
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::opt3_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e15_pipeline());
-    }
+    patmos_bench::trajectory::bin_main("opt3_cycles.json");
 }

@@ -6,11 +6,10 @@
 //! `--footprint-json`, emits the per-kernel spill/rename footprint
 //! document the CI perf-trajectory job archives.
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::regalloc2_baseline_json());
-    } else if std::env::args().any(|a| a == "--footprint-json") {
-        print!("{}", patmos_bench::regalloc2_footprint_json());
+    let has = |flag: &str| std::env::args().any(|a| a == flag);
+    if has("--footprint-json") && !has("--json") {
+        print!("{}", patmos_bench::trajectory::regalloc2_footprint_json());
     } else {
-        print!("{}", patmos_bench::exp_e18_regalloc2());
+        patmos_bench::trajectory::bin_main("regalloc2_cycles.json");
     }
 }

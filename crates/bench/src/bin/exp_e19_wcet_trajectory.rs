@@ -5,9 +5,5 @@
 //! With `--json`, re-emits `baselines/wcet_bounds.json` with fresh
 //! measurements instead of the human-readable table.
 fn main() {
-    if std::env::args().any(|a| a == "--json") {
-        print!("{}", patmos_bench::wcet_bounds_baseline_json());
-    } else {
-        print!("{}", patmos_bench::exp_e19_wcet_trajectory());
-    }
+    patmos_bench::trajectory::bin_main("wcet_bounds.json");
 }

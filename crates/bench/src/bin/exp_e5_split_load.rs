@@ -1,4 +1,6 @@
-//! Regenerates experiment E5_SPLIT_LOAD (see DESIGN.md / EXPERIMENTS.md).
+//! Regenerates experiment E5 (split-load latency hiding); the table is
+//! documented on `patmos_bench::exp_e5_split_load` in
+//! `crates/bench/src/lib.rs`.
 fn main() {
     print!("{}", patmos_bench::exp_e5_split_load());
 }

@@ -1,4 +1,6 @@
-//! Regenerates experiment E7_WCET_BOUNDS (see DESIGN.md / EXPERIMENTS.md).
+//! Regenerates experiment E7 (WCET bound tightness, Patmos vs the
+//! baseline); the table is documented on
+//! `patmos_bench::exp_e7_wcet_bounds` in `crates/bench/src/lib.rs`.
 fn main() {
     print!("{}", patmos_bench::exp_e7_wcet_bounds());
 }

@@ -1,4 +1,6 @@
-//! Regenerates experiment E8_CMP_TDMA (see DESIGN.md / EXPERIMENTS.md).
+//! Regenerates experiment E8 (CMP scaling under TDMA arbitration); the
+//! table is documented on `patmos_bench::exp_e8_cmp_tdma` in
+//! `crates/bench/src/lib.rs`.
 fn main() {
     print!("{}", patmos_bench::exp_e8_cmp_tdma());
 }

@@ -25,7 +25,7 @@ use patmos::sim::{DetectorKind, FaultOutcome, SimConfig};
 use patmos::wcet::flow_map;
 use patmos::workloads::{self, Workload};
 
-use crate::{json_field, kernel_sections};
+use crate::trajectory::{field, read_kernels};
 
 /// The pinned campaign's seed.
 pub const CAMPAIGN_SEED: u64 = 0x5EED_FA17;
@@ -174,24 +174,24 @@ pub fn run_campaign(seed: u64, count: u32) -> Vec<KernelResilience> {
 
 /// Parses the checked-in resilience baseline.
 pub fn resilience_baseline() -> Vec<KernelResilience> {
-    kernel_sections(RESILIENCE_BASELINE_JSON)
+    read_kernels(RESILIENCE_BASELINE_JSON)
         .into_iter()
-        .map(|(name, section)| KernelResilience {
+        .map(|(name, fields)| KernelResilience {
             name,
-            injections: json_field(section, "injections"),
-            fired: json_field(section, "fired"),
-            masked: json_field(section, "masked"),
-            sdc: json_field(section, "sdc"),
-            detected_contract: json_field(section, "detected_contract"),
-            detected_control_flow: json_field(section, "detected_control_flow"),
-            hang: json_field(section, "hang"),
-            strict_detected: json_field(section, "strict_detected"),
-            strict_sdc: json_field(section, "strict_sdc"),
-            strict_hang: json_field(section, "strict_hang"),
-            cfg_only: json_field(section, "cfg_only"),
-            latency_min: json_field(section, "latency_min"),
-            latency_max: json_field(section, "latency_max"),
-            latency_total: json_field(section, "latency_total"),
+            injections: field(&fields, "injections"),
+            fired: field(&fields, "fired"),
+            masked: field(&fields, "masked"),
+            sdc: field(&fields, "sdc"),
+            detected_contract: field(&fields, "detected_contract"),
+            detected_control_flow: field(&fields, "detected_control_flow"),
+            hang: field(&fields, "hang"),
+            strict_detected: field(&fields, "strict_detected"),
+            strict_sdc: field(&fields, "strict_sdc"),
+            strict_hang: field(&fields, "strict_hang"),
+            cfg_only: field(&fields, "cfg_only"),
+            latency_min: field(&fields, "latency_min"),
+            latency_max: field(&fields, "latency_max"),
+            latency_total: field(&fields, "latency_total"),
         })
         .collect()
 }

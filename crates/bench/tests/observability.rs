@@ -9,7 +9,7 @@ use patmos::trace::{EventTotals, Profile, VecSink};
 use patmos::wcet::{pessimism, Machine};
 use patmos::workloads;
 use patmos_bench::observe::measured_by_pc;
-use patmos_bench::opt3_baseline;
+use patmos_bench::trajectory;
 
 fn opt3() -> CompileOptions {
     CompileOptions {
@@ -113,11 +113,7 @@ fn traced_runs_are_bit_identical() {
 /// compute (issue) and stall cycles for the hot inner loop.
 #[test]
 fn dotprod64_profile_sums_to_pinned_baseline() {
-    let pinned = opt3_baseline()
-        .into_iter()
-        .find(|b| b.name == "dotprod64")
-        .expect("dotprod64 is in the baseline")
-        .opt3_cycles;
+    let pinned = trajectory::get("opt3_cycles.json").pinned_value("dotprod64", "opt3_cycles");
     let w = workloads::by_name("dotprod64").expect("dotprod64 exists");
     let image = compile(&w.source, &opt3()).expect("compiles");
     let mut sim = Simulator::new(&image, SimConfig::default());
@@ -161,7 +157,7 @@ fn dotprod64_profile_sums_to_pinned_baseline() {
 /// longer tops the pessimism ranking.
 #[test]
 fn pipelined_fallback_is_dead_in_the_ipet_solution() {
-    for name in patmos_bench::PIPELINED_KERNELS {
+    for name in trajectory::PIPELINED_KERNELS {
         let w = workloads::by_name(name).expect("pipelined kernel exists");
         let image = compile(&w.source, &opt3()).expect("compiles");
         let fallbacks: Vec<(String, u32)> = image

@@ -69,8 +69,6 @@ pub use patmos_lir::liveness;
 /// Re-exported from [`patmos_lir`]: the shared virtual-register LIR.
 pub use patmos_lir::vlir;
 
-#[allow(deprecated)]
-pub use allocator::allocate;
 pub use allocator::{regalloc, AllocError, AllocReport, FuncAlloc, LoopClass};
 pub use constraints::{Constraints, Policy, PressureEstimate, PressureModel, RegisterInfo};
 pub use patmos_lir::{Interval, VInst, VItem, VModule, VOp, VReg};
@@ -93,10 +91,6 @@ mod tests {
             items,
             entry: "main".into(),
         }
-    }
-
-    fn allocate(m: &VModule) -> Result<(lir::Module, AllocReport), AllocError> {
-        regalloc(&Constraints::default(), m)
     }
 
     fn real_ops(items: &[Item]) -> Vec<&LirOp> {
@@ -127,7 +121,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        let (out, report) = allocate(&m).expect("allocates");
+        let (out, report) = regalloc(&Constraints::default(), &m).expect("allocates");
         assert_eq!(report.funcs[0].frame_words, 0);
         assert_eq!(report.funcs[0].pressure_spills, 0);
         let ops = real_ops(&out.items);
@@ -154,7 +148,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        let (_, report) = allocate(&m).expect("allocates");
+        let (_, report) = regalloc(&Constraints::default(), &m).expect("allocates");
         let fa = &report.funcs[0];
         let r1 = fa.assignments.iter().find(|(vr, _)| *vr == v(1)).unwrap().1;
         let r2 = fa.assignments.iter().find(|(vr, _)| *vr == v(2)).unwrap().1;
@@ -182,7 +176,7 @@ mod tests {
         }
         items.push(VItem::Inst(VInst::always(VOp::Halt)));
         let m = module(items);
-        let (out, report) = allocate(&m).expect("allocates");
+        let (out, report) = regalloc(&Constraints::default(), &m).expect("allocates");
         let fa = &report.funcs[0];
         assert!(
             fa.pressure_spills > 0,
@@ -190,7 +184,7 @@ mod tests {
         );
         assert!(fa.frame_words >= fa.pressure_spills as u32);
         // Deterministic: run twice, same result.
-        let (out2, report2) = allocate(&m).expect("allocates");
+        let (out2, report2) = regalloc(&Constraints::default(), &m).expect("allocates");
         assert_eq!(out.items.len(), out2.items.len());
         assert_eq!(report.funcs[0].frame_words, report2.funcs[0].frame_words);
     }
@@ -217,7 +211,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Ret)),
         ]);
-        let (out, report) = allocate(&m).expect("allocates");
+        let (out, report) = regalloc(&Constraints::default(), &m).expect("allocates");
         let fa = &report.funcs[0];
         assert_eq!(fa.call_saved, 1, "only v1 crosses the call");
         // Frame: link slot + 1 save slot.
@@ -248,7 +242,7 @@ mod tests {
             VItem::Inst(VInst::always(VOp::Ret)),
         ]);
         assert!(matches!(
-            allocate(&m),
+            regalloc(&Constraints::default(), &m),
             Err(AllocError::GuardedReturn { .. })
         ));
     }
@@ -256,8 +250,9 @@ mod tests {
     #[test]
     fn new_api_linear_scan_matches_the_deprecated_shim_bit_for_bit() {
         // A module exercising spills, call saves and the frame
-        // protocol: the policy interface must reproduce the historical
-        // entry point exactly.
+        // protocol: the default constraints (the historical entry
+        // point's configuration) and an explicitly requested linear
+        // scan must allocate identically, under policy "linear".
         let mut items = vec![VItem::FuncStart("f".into())];
         for i in 1..=25u32 {
             items.push(VItem::Inst(VInst::always(VOp::LoadImmLow {
@@ -276,19 +271,18 @@ mod tests {
         }
         items.push(VItem::Inst(VInst::always(VOp::Ret)));
         let m = module(items);
-        #[allow(deprecated)]
-        let (old, old_report) = super::allocate(&m).expect("shim allocates");
-        let (new, new_report) = regalloc(&Constraints::linear_scan(), &m).expect("allocates");
-        assert_eq!(old.items, new.items, "physical items must be identical");
-        assert_eq!(old_report.policy, "linear");
+        let (dflt, dflt_report) = regalloc(&Constraints::default(), &m).expect("allocates");
+        let (lin, lin_report) = regalloc(&Constraints::linear_scan(), &m).expect("allocates");
+        assert_eq!(dflt.items, lin.items, "physical items must be identical");
+        assert_eq!(dflt_report.policy, "linear");
         assert_eq!(
-            old_report.funcs[0].assignments,
-            new_report.funcs[0].assignments
+            dflt_report.funcs[0].assignments,
+            lin_report.funcs[0].assignments
         );
-        assert_eq!(old_report.funcs[0].slots, new_report.funcs[0].slots);
+        assert_eq!(dflt_report.funcs[0].slots, lin_report.funcs[0].slots);
         assert_eq!(
-            old_report.funcs[0].frame_words,
-            new_report.funcs[0].frame_words
+            dflt_report.funcs[0].frame_words,
+            lin_report.funcs[0].frame_words
         );
     }
 
@@ -315,7 +309,7 @@ mod tests {
             })));
         }
         items.push(VItem::Inst(VInst::always(VOp::Ret)));
-        let (_, report) = allocate(&module(items)).expect("allocates");
+        let (_, report) = regalloc(&Constraints::default(), &module(items)).expect("allocates");
         let fa = &report.funcs[0];
         assert_eq!(
             fa.call_saved, 30,
@@ -514,7 +508,7 @@ mod tests {
             })),
             VItem::Inst(VInst::always(VOp::Halt)),
         ]);
-        let (_, report) = allocate(&m).expect("allocates");
+        let (_, report) = regalloc(&Constraints::default(), &m).expect("allocates");
         assert_eq!(
             report.funcs[0].frame_words, 0,
             "entry with nothing live across calls"

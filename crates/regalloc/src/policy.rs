@@ -9,8 +9,9 @@
 //! * [`LinearScan`] — the historical allocator: lowest-numbered free
 //!   register, furthest-ending spill victim, saves and reloads placed
 //!   exactly where the value crosses a call or a use. Its output is
-//!   bit-identical to the pre-policy `allocate()` entry point at every
-//!   optimisation and scheduling level.
+//!   bit-identical to the allocator that predates the policy interface
+//!   at every optimisation and scheduling level (the pinned trajectory
+//!   in `patmos-bench` checks this).
 //! * [`LoopAware`] — consults the [`patmos_lir`] loop forest:
 //!   intervals that start inside a loop draw registers round-robin
 //!   from a FIFO free list (so successive iteration-local temporaries

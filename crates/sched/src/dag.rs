@@ -1,10 +1,27 @@
 //! Dependence analysis over physical LIR: block splitting, the
-//! pairwise minimum-gap relation the per-block DAGs are built from, and
-//! a backward liveness dataflow used to prove speculative delay-slot
-//! fills dead on the path that does not want them.
+//! pairwise minimum-gap relation, the dependence graph each scheduler
+//! builds from it once per block or loop, and a backward liveness
+//! dataflow used to prove speculative delay-slot fills dead on the path
+//! that does not want them.
 
 use patmos_isa::{Pred, Reg};
 use patmos_lir::plir::{Item, LirInst, LirOp, Module};
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`dependence_gap`] on this thread: the deterministic
+    /// cost counter the scheduler's complexity tests read.
+    static GAP_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs `f`, returning its result and the number of [`dependence_gap`]
+/// calls it made.
+#[cfg(test)]
+pub(crate) fn count_gap_calls<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = GAP_CALLS.with(std::cell::Cell::get);
+    let out = f();
+    (out, GAP_CALLS.with(std::cell::Cell::get) - before)
+}
 
 /// The minimum bundle gap from `a` (earlier in program order) to `b`
 /// (later), or `None` when they are independent and may be reordered
@@ -14,6 +31,8 @@ use patmos_lir::plir::{Item, LirInst, LirOp, Module};
 /// pre-state) but must not move *before* it; any caller that reorders
 /// `b` in front of `a` must therefore require `None`, not `Some(0)`.
 pub fn dependence_gap(a: &LirInst, b: &LirInst) -> Option<u32> {
+    #[cfg(test)]
+    GAP_CALLS.with(|calls| calls.set(calls.get() + 1));
     let mut gap: Option<u32> = None;
     let mut need = |g: u32| gap = Some(gap.map_or(g, |old: u32| old.max(g)));
 
@@ -81,6 +100,137 @@ pub fn dependence_gap(a: &LirInst, b: &LirInst) -> Option<u32> {
     }
 
     gap
+}
+
+/// Marks an independent pair in `Dag`'s gap table. Real gaps are at
+/// most two bundles (a load's or `mul`'s result latency).
+const NO_GAP: u8 = u8::MAX;
+
+/// The dependence graph of one straight-line op sequence, with
+/// [`dependence_gap`] evaluated exactly once per ordered pair it needs.
+///
+/// [`Dag::acyclic`] covers a basic block: edges run from earlier to
+/// later ops only. [`Dag::cyclic`] covers a loop body: every ordered
+/// pair, self pairs included, because each dependence also constrains
+/// op `a` of one iteration against op `b` of the next. Both keep a flat
+/// gap table, compressed predecessor and successor lists (every op a
+/// node depends on, or that depends on it, in ascending order), and
+/// the critical-path heights over the same-iteration edges.
+#[derive(Debug, Clone)]
+pub(crate) struct Dag {
+    n: usize,
+    /// `gaps[a * n + b]`: the gap from `a` to `b`, or [`NO_GAP`].
+    gaps: Vec<u8>,
+    /// `preds[pred_at[b]..pred_at[b + 1]]`: every `a != b` with a gap
+    /// to `b`.
+    pred_at: Vec<u32>,
+    preds: Vec<u32>,
+    /// `succs[succ_at[a]..succ_at[a + 1]]`: every `b != a` with a gap
+    /// from `a`.
+    succ_at: Vec<u32>,
+    succs: Vec<u32>,
+    heights: Vec<u32>,
+}
+
+impl Dag {
+    /// The graph of a basic block: one gap per pair `a < b`.
+    pub(crate) fn acyclic(ops: &[LirInst]) -> Dag {
+        Dag::build(ops, false)
+    }
+
+    /// The graph of a loop body: one gap per ordered pair `(a, b)`,
+    /// `a == b` included; a pair with `a >= b` only constrains `a`
+    /// against `b` of the next iteration.
+    pub(crate) fn cyclic(ops: &[LirInst]) -> Dag {
+        Dag::build(ops, true)
+    }
+
+    fn build(ops: &[LirInst], cyclic: bool) -> Dag {
+        let n = ops.len();
+        let mut gaps = vec![NO_GAP; n * n];
+        let mut edges = 0usize;
+        for a in 0..n {
+            let first = if cyclic { 0 } else { a + 1 };
+            for b in first..n {
+                if let Some(g) = dependence_gap(&ops[a], &ops[b]) {
+                    debug_assert!(g < NO_GAP as u32);
+                    gaps[a * n + b] = g as u8;
+                    edges += usize::from(a != b);
+                }
+            }
+        }
+        // Successor lists read the table row by row, predecessor lists
+        // column by column, so both come out ascending.
+        let edge = |a: usize, b: usize| a != b && gaps[a * n + b] != NO_GAP;
+        let (mut succ_at, mut succs) = (Vec::with_capacity(n + 1), Vec::with_capacity(edges));
+        let (mut pred_at, mut preds) = (Vec::with_capacity(n + 1), Vec::with_capacity(edges));
+        for x in 0..n {
+            succ_at.push(succs.len() as u32);
+            succs.extend((0..n).filter(|&b| edge(x, b)).map(|b| b as u32));
+            pred_at.push(preds.len() as u32);
+            preds.extend((0..n).filter(|&a| edge(a, x)).map(|a| a as u32));
+        }
+        succ_at.push(succs.len() as u32);
+        pred_at.push(preds.len() as u32);
+
+        // Critical-path heights: the longest latency-weighted
+        // same-iteration path to any sink, including the residue each
+        // op owes past its own issue bundle.
+        let mut heights: Vec<u32> = ops.iter().map(|op| out_gap(op).max(1)).collect();
+        for a in (0..n).rev() {
+            for &b in &succs[succ_at[a] as usize..succ_at[a + 1] as usize] {
+                let b = b as usize;
+                if b > a {
+                    let g = gaps[a * n + b] as u32;
+                    heights[a] = heights[a].max(g + heights[b]);
+                }
+            }
+        }
+
+        Dag {
+            n,
+            gaps,
+            pred_at,
+            preds,
+            succ_at,
+            succs,
+            heights,
+        }
+    }
+
+    /// Number of ops.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// [`dependence_gap`] of ops `a` and `b`, from the table. An
+    /// acyclic graph only holds pairs `a < b`.
+    pub(crate) fn gap(&self, a: usize, b: usize) -> Option<u32> {
+        let g = self.gaps[a * self.n + b];
+        (g != NO_GAP).then_some(g as u32)
+    }
+
+    /// Every op other than `b` with a gap to `b`, ascending.
+    pub(crate) fn preds(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
+        let at = self.pred_at[b] as usize..self.pred_at[b + 1] as usize;
+        self.preds[at].iter().map(|&a| a as usize)
+    }
+
+    /// Every op other than `a` with a gap from `a`, ascending.
+    pub(crate) fn succs(&self, a: usize) -> impl Iterator<Item = usize> + '_ {
+        let at = self.succ_at[a] as usize..self.succ_at[a + 1] as usize;
+        self.succs[at].iter().map(|&b| b as usize)
+    }
+
+    /// Op `a`'s critical-path height in bundles.
+    pub(crate) fn height(&self, a: usize) -> u32 {
+        self.heights[a]
+    }
+
+    /// The longest height, `0` for an empty graph.
+    pub(crate) fn critical_path(&self) -> u32 {
+        self.heights.iter().copied().max().unwrap_or(0)
+    }
 }
 
 /// The visible-delay residue an instruction owes *past* its issue

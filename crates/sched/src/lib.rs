@@ -8,7 +8,9 @@
 //! 1. **Block splitting** — the allocator's linear item stream is cut
 //!    into per-function basic blocks ([`dag::split_blocks`]).
 //! 2. **Dependence DAGs** — per block, every pair of operations gets
-//!    its minimum issue-bundle gap from [`dag::dependence_gap`]: true,
+//!    its minimum issue-bundle gap from [`dag::dependence_gap`],
+//!    evaluated once into the block's gap table (once per ordered pair
+//!    for a software-pipelined loop body): true,
 //!    anti and output dependences over registers and predicates
 //!    (guards included), conservative program order between memory and
 //!    stack-control operations, call barriers, and the multiplier's

@@ -27,7 +27,7 @@
 use patmos_isa::Op;
 use patmos_lir::plir::{LirInst, LirOp};
 
-use crate::dag::{dependence_gap, out_gap, LiveSet};
+use crate::dag::{dependence_gap, out_gap, Dag, LiveSet};
 
 /// A scheduled block: final bundles plus the facts the driver and the
 /// report need.
@@ -65,6 +65,62 @@ fn fillable(term: &LirInst) -> bool {
     matches!(term.op, LirOp::BrLabel(_))
 }
 
+/// The list scheduler's ready set: the unplaced ops whose predecessors
+/// are all placed, each with the first cycle its dependence gaps allow.
+struct ReadySet<'d> {
+    dag: &'d Dag,
+    /// Unplaced predecessors per op.
+    pending: Vec<u32>,
+    /// Earliest issue cycle per op, final once `pending` reaches zero.
+    at: Vec<u32>,
+    ops: Vec<usize>,
+}
+
+impl<'d> ReadySet<'d> {
+    fn new(dag: &'d Dag) -> ReadySet<'d> {
+        let pending: Vec<u32> = (0..dag.len())
+            .map(|i| dag.preds(i).count() as u32)
+            .collect();
+        ReadySet {
+            dag,
+            ops: (0..dag.len()).filter(|&i| pending[i] == 0).collect(),
+            at: vec![0; dag.len()],
+            pending,
+        }
+    }
+
+    /// The op to issue at `cycle` among those ready by then that pass
+    /// `fits`: highest critical-path height wins, program order breaks
+    /// ties (deterministic, and shape-stable: priorities depend only on
+    /// the dependence structure, never on operand values).
+    fn best(&self, cycle: u32, fits: impl Fn(usize) -> bool) -> Option<usize> {
+        let key = |i: usize| (self.dag.height(i), std::cmp::Reverse(i));
+        self.ops
+            .iter()
+            .copied()
+            .filter(|&i| self.at[i] <= cycle && fits(i))
+            .max_by_key(|&i| key(i))
+    }
+
+    /// Issues op `i` at `cycle`, releasing its successors.
+    fn place(&mut self, i: usize, cycle: u32) {
+        let at = self
+            .ops
+            .iter()
+            .position(|&r| r == i)
+            .expect("placed ops are ready");
+        self.ops.swap_remove(at);
+        for s in self.dag.succs(i) {
+            let gap = self.dag.gap(i, s).expect("successors have a gap");
+            self.at[s] = self.at[s].max(cycle + gap);
+            self.pending[s] -= 1;
+            if self.pending[s] == 0 {
+                self.ops.push(s);
+            }
+        }
+    }
+}
+
 /// Schedules one block's body plus terminator.
 pub fn schedule_block(
     insts: &[LirInst],
@@ -72,96 +128,43 @@ pub fn schedule_block(
     dual_issue: bool,
 ) -> BlockSchedule {
     let n = insts.len();
-
-    // Dependence DAG: (pred, succ, min bundle gap), pred < succ.
-    let mut edges: Vec<(usize, usize, u32)> = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if let Some(gap) = dependence_gap(&insts[i], &insts[j]) {
-                edges.push((i, j, gap));
-            }
-        }
-    }
-
-    // Critical-path heights: longest latency-weighted path to any sink,
-    // including the residue each op owes past its own issue bundle.
-    let mut height: Vec<u32> = (0..n).map(|i| out_gap(&insts[i]).max(1)).collect();
-    for &(i, j, gap) in edges.iter().rev() {
-        height[i] = height[i].max(gap + height[j]);
-    }
-    let critical_path = height.iter().copied().max().unwrap_or(0);
+    let dag = Dag::acyclic(insts);
+    let critical_path = dag.critical_path();
 
     // Cycle-by-cycle list scheduling of the body.
     let mut sched: Vec<Option<u32>> = vec![None; n];
-    let earliest = |i: usize, sched: &[Option<u32>]| -> Option<u32> {
-        let mut at = 0u32;
-        for &(p, s, gap) in &edges {
-            if s == i {
-                match sched[p] {
-                    Some(c) => at = at.max(c + gap),
-                    None => return None,
-                }
-            }
-        }
-        Some(at)
-    };
-
+    let mut ready = ReadySet::new(&dag);
     let mut cycles: Vec<(Option<usize>, Option<usize>)> = Vec::new();
     let mut remaining = n;
     let mut paired = 0usize;
     while remaining > 0 {
         let cycle = cycles.len() as u32;
-        // Highest critical-path height wins; program order breaks ties
-        // (deterministic, and shape-stable: priorities depend only on
-        // the dependence structure, never on operand values).
-        let mut first: Option<usize> = None;
-        for i in 0..n {
-            if sched[i].is_some() {
-                continue;
-            }
-            if matches!(earliest(i, &sched), Some(r) if r <= cycle)
-                && first.is_none_or(|f| height[i] > height[f])
-            {
-                first = Some(i);
-            }
-        }
-        let Some(fi) = first else {
+        let Some(fi) = ready.best(cycle, |_| true) else {
             cycles.push((None, None)); // nothing ready: let delays elapse
             continue;
         };
         sched[fi] = Some(cycle);
+        ready.place(fi, cycle);
         remaining -= 1;
 
-        let mut second: Option<usize> = None;
-        if dual_issue && !insts[fi].op.is_long() {
-            for j in 0..n {
-                if sched[j].is_some()
-                    || !insts[j].op.allowed_in_second_slot()
-                    || insts[j].op.is_long()
-                {
-                    continue;
-                }
-                // Ready even against the op just placed in slot one
-                // (a zero-gap WAR edge permits sharing the bundle).
-                if !matches!(earliest(j, &sched), Some(r) if r <= cycle) {
-                    continue;
-                }
+        // Ready even against the op just placed in slot one (a zero-gap
+        // WAR edge permits sharing the bundle).
+        let fits_second = |j: usize| {
+            let (a, b) = (&insts[fi].op, &insts[j].op);
+            b.allowed_in_second_slot()
+                && !b.is_long()
                 // No conflicting writes within the bundle.
-                if insts[fi].op.def().is_some() && insts[fi].op.def() == insts[j].op.def() {
-                    continue;
-                }
-                if insts[fi].op.pred_def().is_some()
-                    && insts[fi].op.pred_def() == insts[j].op.pred_def()
-                {
-                    continue;
-                }
-                if second.is_none_or(|s| height[j] > height[s]) {
-                    second = Some(j);
-                }
-            }
-        }
+                && (a.def().is_none() || a.def() != b.def())
+                && (a.pred_def().is_none() || a.pred_def() != b.pred_def())
+        };
+        let second = if dual_issue && !insts[fi].op.is_long() {
+            ready.best(cycle, fits_second)
+        } else {
+            None
+        };
         if let Some(sj) = second {
             sched[sj] = Some(cycle);
+            ready.place(sj, cycle);
             remaining -= 1;
             paired += 1;
         }
@@ -434,6 +437,66 @@ mod tests {
 
     fn cond_br(label: &str) -> LirInst {
         LirInst::new(Guard::unless(Pred::P6), LirOp::BrLabel(label.into()))
+    }
+
+    /// A deterministic block of `n` ops over few registers — ALU ops,
+    /// loads, stores, compares, guarded ops and multiplies — so that
+    /// dependences are dense.
+    fn mixed_block(n: usize) -> Vec<LirInst> {
+        let r = |i: usize| Reg::from_index(3 + (i % 6) as u8);
+        (0..n)
+            .map(|i| match i % 7 {
+                0 => alu(3 + (i % 6) as u8, 3 + (i * 5 % 6) as u8, 4),
+                1 => load(3 + (i * 3 % 6) as u8, (i % 4) as i16),
+                2 => LirInst::always(LirOp::Real(Op::Store {
+                    area: MemArea::Stack,
+                    size: AccessSize::Word,
+                    ra: Reg::R0,
+                    offset: (i % 4) as i16,
+                    rs: r(i),
+                })),
+                3 => LirInst::always(LirOp::Real(Op::CmpI {
+                    op: patmos_isa::CmpOp::Lt,
+                    pd: Pred::from_index(1 + (i % 3) as u8),
+                    rs1: r(i + 1),
+                    imm: 0,
+                })),
+                4 => LirInst::new(
+                    Guard::when(Pred::from_index(1 + (i % 3) as u8)),
+                    alu(8, 7, 6).op,
+                ),
+                5 => LirInst::always(LirOp::Real(Op::Mul {
+                    rs1: r(i),
+                    rs2: r(i + 2),
+                })),
+                _ => LirInst::always(LirOp::Real(Op::Mfs {
+                    rd: r(i + 4),
+                    ss: patmos_isa::SpecialReg::Sl,
+                })),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn list_scheduling_evaluates_each_dependence_once() {
+        // Once per ordered pair of body ops, once per body op against
+        // the terminator: never per candidate or per cycle.
+        let call = LirInst::always(LirOp::CallFunc("f".into()));
+        for n in [0usize, 1, 2, 17, 64, 160] {
+            let body = mixed_block(n);
+            for term in [None, Some(br("x")), Some(cond_br("x")), Some(call.clone())] {
+                for dual_issue in [true, false] {
+                    let (_, calls) = crate::dag::count_gap_calls(|| {
+                        schedule_block(&body, term.as_ref(), dual_issue)
+                    });
+                    let bound = (n * (n + 1) / 2) as u64;
+                    assert!(
+                        calls <= bound,
+                        "{calls} gap calls for {n} ops (bound {bound})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@
 use patmos_isa::{AluOp, Guard, Op, Reg};
 use patmos_lir::plir::{CountedLoop, Item, LirInst, LirOp, LoopBoundSrc};
 
-use crate::dag::{dependence_gap, out_gap, Func, LiveSet};
+use crate::dag::{out_gap, Dag, Func, LiveSet};
 use crate::list;
 use crate::{LoopReport, SchedBundle, SchedItem};
 
@@ -256,9 +256,6 @@ pub(crate) fn try_pipeline(
     remarks: &mut Vec<patmos_lir::Remark>,
 ) -> Option<Pipelined> {
     let mut refuse = |site: &str, message: String| {
-        if std::env::var_os("PATMOS_MODULO_DEBUG").is_some() {
-            eprintln!("{site}: {message}");
-        }
         remarks.push(patmos_lir::Remark {
             pass: "modulo-sched",
             function: func.name.clone(),
@@ -369,11 +366,12 @@ pub(crate) fn try_pipeline(
     let renamed = rename_loop_temporaries(&mut ops, boundary_live, pool, reuse_renaming);
 
     // ---- dependence relations ----
-    // d0[i][j] (i < j): minimum gap within one iteration.
-    // d1[i][j] (any i, j): minimum gap from op i of iteration k to op
-    // j of iteration k+1 — every dependence class becomes a
-    // loop-carried edge, which is what bounds lifetimes to II.
-    let gap = |a: usize, b: usize| dependence_gap(&ops[a], &ops[b]);
+    // One cyclic graph: gap(i, j) with i < j is the minimum gap within
+    // one iteration; gap(i, j) for any i, j is also the minimum gap from
+    // op i of iteration k to op j of iteration k+1 — every dependence
+    // class becomes a loop-carried edge, which is what bounds lifetimes
+    // to II.
+    let dag = Dag::cyclic(&ops);
     let slots = if dual_issue { 2usize } else { 1 };
     let slot1_only = |op: &LirInst| !op.op.allowed_in_second_slot() || op.op.is_long();
 
@@ -383,11 +381,11 @@ pub(crate) fn try_pipeline(
     let res_mii = (n_slot1 + 1).max(width.div_ceil(slots as u32) + 1);
     let mut rec_mii = 0u32;
     for i in 0..n {
-        if let Some(g) = gap(i, i) {
+        if let Some(g) = dag.gap(i, i) {
             rec_mii = rec_mii.max(g);
         }
-        for j in i + 1..n {
-            if let (Some(g0), Some(g1)) = (gap(i, j), gap(j, i)) {
+        for j in dag.succs(i).filter(|&j| j > i) {
+            if let (Some(g0), Some(g1)) = (dag.gap(i, j), dag.gap(j, i)) {
                 rec_mii = rec_mii.max(g0 + g1);
             }
         }
@@ -398,24 +396,14 @@ pub(crate) fn try_pipeline(
     let mii = res_mii.max(rec_mii).max(4);
 
     // Critical-path priority over the same-iteration DAG.
-    let mut height: Vec<u32> = ops.iter().map(|o| out_gap(o).max(1)).collect();
-    for i in (0..n).rev() {
-        for j in i + 1..n {
-            if let Some(g) = gap(i, j) {
-                height[i] = height[i].max(g + height[j]);
-            }
-        }
-    }
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(height[i]), i));
+    order.sort_by_key(|&i| (std::cmp::Reverse(dag.height(i)), i));
 
-    // The plain per-iteration cost the pipeline has to beat.
-    let baseline = list::schedule_block(&hb.insts, Some(hterm), dual_issue)
-        .bundles
-        .len()
-        + list::schedule_block(&bb.insts, Some(bterm), dual_issue)
-            .bundles
-            .len();
+    // The plain loop: the per-iteration cost the pipeline has to beat,
+    // and the fallback the pipeline emits.
+    let head_sched = list::schedule_block(&hb.insts, Some(hterm), dual_issue);
+    let body_sched = list::schedule_block(&bb.insts, Some(bterm), dual_issue);
+    let baseline = head_sched.bundles.len() + body_sched.bundles.len();
 
     // ---- iterative scheduling (Rau's IMS) ----
     // At each candidate II, ops are placed at their earliest legal
@@ -430,7 +418,7 @@ pub(crate) fn try_pipeline(
     'next_ii: for ii in mii..=MAX_II {
         let times = match [&order, &program_order]
             .into_iter()
-            .find_map(|ord| place_all(&ops, ord, ii, slots, cmp_idx))
+            .find_map(|ord| place_all(&ops, &dag, ord, ii, slots, cmp_idx))
         {
             Some(times) => times,
             None => continue 'next_ii,
@@ -492,7 +480,7 @@ pub(crate) fn try_pipeline(
 
         let mut p = emit(
             func, h, &cl, bound_regs, &label, exit_label, &ops, &times, ii, stages, mii, min_ann,
-            max_ann, dual_issue,
+            max_ann, head_sched, body_sched,
         );
         p.report.renamed = renamed;
         return Some(p);
@@ -507,13 +495,13 @@ pub(crate) fn try_pipeline(
 /// returning).
 fn place_all(
     ops: &[LirInst],
+    dag: &Dag,
     order: &[usize],
     ii: u32,
     slots: usize,
     cmp_idx: usize,
 ) -> Option<Vec<Placed>> {
     let n = ops.len();
-    let gap = |a: usize, b: usize| dependence_gap(&ops[a], &ops[b]);
     let slot1_only = |op: &LirInst| !op.op.allowed_in_second_slot() || op.op.is_long();
     let br_row = ii - 1 - patmos_isa::timing::BRANCH_DELAY_COND;
     let horizon = (MAX_STAGES * ii - 1) as i64;
@@ -523,10 +511,12 @@ fn place_all(
     let mut prev_time: Vec<Option<i64>> = vec![None; n];
     let mut budget = 16 * n as i64;
 
-    let clear = |table: &mut Vec<Vec<Option<usize>>>, idx: usize| {
-        for row in table.iter_mut() {
-            for s in row.iter_mut() {
-                if *s == Some(idx) {
+    // Frees the reservation-table row an op holds (both slots of it
+    // when the op is long).
+    let unplace = |table: &mut Vec<Vec<Option<usize>>>, placed: &mut [Option<Placed>], x: usize| {
+        if let Some(p) = placed[x].take() {
+            for s in table[(p.t % ii) as usize].iter_mut() {
+                if *s == Some(x) {
                     *s = None;
                 }
             }
@@ -539,21 +529,18 @@ fn place_all(
         if budget < 0 {
             return None;
         }
-        // Earliest start from every placed op, in both dependence
-        // classes (lower bounds only; upper bounds are enforced by
-        // eviction after the fact).
+        // Earliest start from every placed predecessor, in both
+        // dependence classes (lower bounds only; upper bounds are
+        // enforced by eviction after the fact).
         let mut lo: i64 = 0;
-        for (x, px) in placed.iter().enumerate() {
-            let Some(px) = px else { continue };
+        for x in dag.preds(idx) {
+            let Some(px) = placed[x] else { continue };
             let (tx, t) = (px.t as i64, ii as i64);
+            let g = dag.gap(x, idx).expect("predecessors have a gap") as i64;
             if x < idx {
-                if let Some(g) = gap(x, idx) {
-                    lo = lo.max(tx + g as i64);
-                }
+                lo = lo.max(tx + g);
             }
-            if let Some(g) = gap(x, idx) {
-                lo = lo.max(tx + g as i64 - t);
-            }
+            lo = lo.max(tx + g - t);
         }
         if let Some(pt) = prev_time[idx] {
             if lo <= pt {
@@ -628,8 +615,7 @@ fn place_all(
                 table[row][p.slot] == Some(x) || ops[x].op.is_long()
             };
             if conflict {
-                clear(&mut table, x);
-                placed[x] = None;
+                unplace(&mut table, &mut placed, x);
             }
         }
         table[row][p.slot] = Some(idx);
@@ -641,27 +627,25 @@ fn place_all(
         placed[idx] = Some(p);
         prev_time[idx] = Some(p.t as i64);
         // Evict dependence-window violations against the new
-        // placement, in both classes and directions.
+        // placement, in both classes and directions; only the op's
+        // dependence neighbours can be in violation.
         let ti = p.t as i64;
         let mut dep_evict: Vec<usize> = Vec::new();
-        for (x, px) in placed.iter().enumerate() {
-            if x == idx {
-                continue;
-            }
-            let Some(px) = px else { continue };
+        for x in dag.preds(idx).chain(dag.succs(idx)) {
+            let Some(px) = placed[x] else { continue };
             let (tx, t) = (px.t as i64, ii as i64);
             let mut bad = false;
             if x < idx {
-                if let Some(g) = gap(x, idx) {
+                if let Some(g) = dag.gap(x, idx) {
                     bad |= ti - tx < g as i64;
                 }
-            } else if let Some(g) = gap(idx, x) {
+            } else if let Some(g) = dag.gap(idx, x) {
                 bad |= tx - ti < g as i64;
             }
-            if let Some(g) = gap(x, idx) {
+            if let Some(g) = dag.gap(x, idx) {
                 bad |= ti + t - tx < g as i64;
             }
-            if let Some(g) = gap(idx, x) {
+            if let Some(g) = dag.gap(idx, x) {
                 bad |= tx + t - ti < g as i64;
             }
             if bad {
@@ -669,8 +653,7 @@ fn place_all(
             }
         }
         for x in dep_evict {
-            clear(&mut table, x);
-            placed[x] = None;
+            unplace(&mut table, &mut placed, x);
         }
     }
 
@@ -681,13 +664,13 @@ fn place_all(
         for j in 0..n {
             let (ti, tj) = (times[i].t as i64, times[j].t as i64);
             if i < j {
-                if let Some(g) = gap(i, j) {
+                if let Some(g) = dag.gap(i, j) {
                     if tj - ti < g as i64 {
                         return None;
                     }
                 }
             }
-            if let Some(g) = gap(i, j) {
+            if let Some(g) = dag.gap(i, j) {
                 if tj + ii as i64 - ti < g as i64 {
                     return None;
                 }
@@ -713,10 +696,10 @@ fn emit(
     mii: u32,
     min_ann: u32,
     max_ann: u32,
-    dual_issue: bool,
+    head_sched: list::BlockSchedule,
+    mut body_sched: list::BlockSchedule,
 ) -> Pipelined {
     let hb = &func.blocks[h];
-    let bb = &func.blocks[h + 1];
     let kern_label = format!("{label}_mk");
     let fb_label = format!("{label}_mf");
     let br_row = ii - 1 - patmos_isa::timing::BRANCH_DELAY_COND;
@@ -890,12 +873,16 @@ fn emit(
         max: max_ann,
     });
     items.push(SchedItem::Label(fb_label.clone()));
-    let head_sched = list::schedule_block(&hb.insts, Some(hterm_for(func, h)), dual_issue);
+    // The body's back branch is unconditional (a `CountedLoop` shape
+    // rule) and its label takes no part in any dependence, so
+    // relabelling it leaves the schedule valid.
     for (f, s) in head_sched.bundles {
         push_bundle(&mut items, f, s);
     }
-    let fb_back = LirInst::always(LirOp::BrLabel(fb_label));
-    let body_sched = list::schedule_block(&bb.insts, Some(&fb_back), dual_issue);
+    let back_at = body_sched
+        .term_at
+        .expect("the body ends in its back branch");
+    body_sched.bundles[back_at].0 = LirInst::always(LirOp::BrLabel(fb_label));
     for (f, s) in body_sched.bundles {
         push_bundle(&mut items, f, s);
     }
@@ -939,16 +926,10 @@ fn emit(
     }
 }
 
-fn hterm_for(func: &Func, h: usize) -> &LirInst {
-    func.blocks[h]
-        .term
-        .as_ref()
-        .expect("header has a terminator")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::{count_gap_calls, dependence_gap};
     use patmos_isa::{AccessSize, AluOp, CmpOp, MemArea, Pred, Reg};
     use patmos_lir::plir::Module;
 
@@ -1023,6 +1004,88 @@ mod tests {
         let func = &split.funcs[0];
         let live = crate::dag::live_in_sets(func);
         try_pipeline(func, 1, true, false, &live, &mut Vec::new())
+    }
+
+    /// `for (r7 = 0; r7 < 60; r7++) { body }` with up to 999
+    /// worst-case trips.
+    fn loop_with_body(body: Vec<LirInst>) -> Module {
+        let mut items = vec![
+            Item::FuncStart("main".into()),
+            Item::Inst(alu(7, 0, 0)),
+            Item::LoopBound { min: 1, max: 1000 },
+            Item::Label("main_head1".into()),
+            Item::Inst(LirInst::always(LirOp::Real(Op::CmpI {
+                op: CmpOp::Lt,
+                pd: Pred::P6,
+                rs1: Reg::from_index(7),
+                imm: 60,
+            }))),
+            Item::Inst(LirInst::new(
+                Guard::unless(Pred::P6),
+                LirOp::BrLabel("main_exit2".into()),
+            )),
+        ];
+        items.extend(body.into_iter().map(Item::Inst));
+        items.extend([
+            Item::Inst(addi(7, 7, 1)),
+            Item::Inst(LirInst::always(LirOp::BrLabel("main_head1".into()))),
+            Item::Label("main_exit2".into()),
+            Item::Inst(alu(1, 9, 0)),
+            Item::Inst(LirInst::always(LirOp::Real(Op::Halt))),
+        ]);
+        Module {
+            data_lines: Vec::new(),
+            entry: "main".into(),
+            items,
+        }
+    }
+
+    #[test]
+    fn the_ii_search_costs_no_dependence_evaluations() {
+        const LOADS: usize = 25;
+        // Independent loads: memory order alone, the loop pipelines at
+        // its MII.
+        let independent = loop_with_body(vec![load(9, 8); LOADS]);
+        // A pointer chase: each load addresses through the previous
+        // one's result (two bundles per link), while memory order keeps
+        // all loads of an iteration within II - 1 bundles. No II up to
+        // MAX_II fits, so the search walks every II from MII up and
+        // gives up without a remark.
+        let chase = loop_with_body(
+            (0..LOADS)
+                .map(|i| {
+                    load(
+                        9 + (i % 2) as u8,
+                        if i == 0 { 8 } else { 10 - (i % 2) as u8 },
+                    )
+                })
+                .collect(),
+        );
+        let run = |m: &Module| {
+            let split = crate::dag::split_blocks(m);
+            let live = crate::dag::live_in_sets(&split.funcs[0]);
+            let mut remarks = Vec::new();
+            let (p, calls) = count_gap_calls(|| {
+                try_pipeline(&split.funcs[0], 1, true, false, &live, &mut remarks)
+            });
+            (p, remarks, calls)
+        };
+        let (fast, _, fast_calls) = run(&independent);
+        let fast = fast.expect("independent loads pipeline");
+        assert_eq!(fast.report.ii, fast.report.mii);
+        let (slow, remarks, slow_calls) = run(&chase);
+        assert!(
+            slow.is_none() && remarks.is_empty(),
+            "no II fits: {remarks:?}"
+        );
+
+        // One cyclic graph over the kernel ops (compare, loads,
+        // induction update) plus the header's and body's list
+        // schedules, each pair evaluated once.
+        let (ops, body) = (LOADS as u64 + 2, LOADS as u64 + 1);
+        let expected = ops * ops + 1 + body * (body + 1) / 2;
+        assert_eq!(fast_calls, expected);
+        assert_eq!(slow_calls, expected);
     }
 
     #[test]

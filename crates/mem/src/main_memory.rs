@@ -7,10 +7,17 @@
 
 use std::fmt;
 
-const PAGE_SHIFT: u32 = 16;
+// Address split: bits 31..22 index the directory, bits 21..12 index a
+// table, bits 11..0 are the byte offset within a page.
+const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
-const NUM_PAGES: usize = 1 << (32 - PAGE_SHIFT);
 const OFFSET_MASK: usize = PAGE_SIZE - 1;
+const TABLE_LEN: usize = 1 << 10;
+const DIR_SHIFT: u32 = PAGE_SHIFT + TABLE_LEN.trailing_zeros();
+const DIR_LEN: usize = 1 << (32 - DIR_SHIFT);
+
+type Page = [u8; PAGE_SIZE];
+type Table = [Option<Box<Page>>; TABLE_LEN];
 
 /// Timing parameters of the main-memory interface.
 ///
@@ -64,30 +71,38 @@ impl Default for MemConfig {
 /// Reads of untouched locations return zero, like initialised SRAM in the
 /// FPGA prototype. Addresses wrap within the 32-bit space.
 ///
-/// Storage is a flat page table — one pointer slot per 64 KiB page of
-/// the 32-bit space — so every access is a single bounds-free index
-/// instead of a hash lookup. Pages materialise zero-filled on first
-/// write; the table itself costs half a megabyte per memory instance.
+/// Storage is a two-level page table: a 1,024-entry directory (address
+/// bits 31..22) points to 1,024-entry tables (bits 21..12) of 4 KiB
+/// pages. Every access is two plain indexes, with no hashing. Tables and
+/// pages materialise zero-filled on first write, so an instance costs an
+/// 8 KiB directory plus what its guest touches: 8 KiB per table and
+/// 4 KiB per page.
 #[derive(Clone)]
 pub struct MainMemory {
-    pages: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
+    dir: Box<[Option<Box<Table>>; DIR_LEN]>,
     config: MemConfig,
 }
 
-fn zero_page() -> Box<[u8; PAGE_SIZE]> {
-    vec![0u8; PAGE_SIZE]
+/// A heap-allocated array of `fill`, built through `vec!` so that no
+/// array is ever on the stack; for `None` pointers and zero bytes it is
+/// one zeroed allocation.
+fn boxed_array<T: Clone + fmt::Debug, const N: usize>(fill: T) -> Box<[T; N]> {
+    vec![fill; N]
         .into_boxed_slice()
         .try_into()
-        .expect("page-sized allocation")
+        .expect("array-sized allocation")
 }
 
 impl fmt::Debug for MainMemory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let resident_pages: usize = self
+            .dir
+            .iter()
+            .flatten()
+            .map(|table| table.iter().flatten().count())
+            .sum();
         f.debug_struct("MainMemory")
-            .field(
-                "resident_pages",
-                &self.pages.iter().filter(|p| p.is_some()).count(),
-            )
+            .field("resident_pages", &resident_pages)
             .field("config", &self.config)
             .finish()
     }
@@ -103,14 +118,24 @@ impl MainMemory {
     /// An empty memory with the given timing configuration.
     pub fn new(config: MemConfig) -> MainMemory {
         MainMemory {
-            pages: vec![None; NUM_PAGES],
+            dir: boxed_array(None),
             config,
         }
     }
 
+    /// The page holding `addr`, if it was ever written.
     #[inline]
-    fn page_mut(&mut self, addr: u32) -> &mut [u8; PAGE_SIZE] {
-        self.pages[(addr >> PAGE_SHIFT) as usize].get_or_insert_with(zero_page)
+    fn page(&self, addr: u32) -> Option<&Page> {
+        let table = self.dir[(addr >> DIR_SHIFT) as usize].as_deref()?;
+        table[(addr >> PAGE_SHIFT) as usize & (TABLE_LEN - 1)].as_deref()
+    }
+
+    /// The page holding `addr`, created zero-filled (with its table) on
+    /// first touch.
+    #[inline]
+    fn page_mut(&mut self, addr: u32) -> &mut Page {
+        let table = self.dir[(addr >> DIR_SHIFT) as usize].get_or_insert_with(|| boxed_array(None));
+        table[(addr >> PAGE_SHIFT) as usize & (TABLE_LEN - 1)].get_or_insert_with(|| boxed_array(0))
     }
 
     /// The timing configuration.
@@ -126,10 +151,8 @@ impl MainMemory {
     /// Reads one byte.
     #[inline]
     pub fn read_byte(&self, addr: u32) -> u8 {
-        match &self.pages[(addr >> PAGE_SHIFT) as usize] {
-            Some(page) => page[addr as usize & OFFSET_MASK],
-            None => 0,
-        }
+        self.page(addr)
+            .map_or(0, |page| page[addr as usize & OFFSET_MASK])
     }
 
     /// Writes one byte.
@@ -143,10 +166,9 @@ impl MainMemory {
     pub fn read_half(&self, addr: u32) -> u16 {
         let off = addr as usize & OFFSET_MASK;
         if off <= PAGE_SIZE - 2 {
-            match &self.pages[(addr >> PAGE_SHIFT) as usize] {
-                Some(page) => u16::from_le_bytes(page[off..off + 2].try_into().expect("2 bytes")),
-                None => 0,
-            }
+            self.page(addr).map_or(0, |page| {
+                u16::from_le_bytes(page[off..off + 2].try_into().expect("2 bytes"))
+            })
         } else {
             u16::from_le_bytes([self.read_byte(addr), self.read_byte(addr.wrapping_add(1))])
         }
@@ -170,10 +192,9 @@ impl MainMemory {
     pub fn read_word(&self, addr: u32) -> u32 {
         let off = addr as usize & OFFSET_MASK;
         if off <= PAGE_SIZE - 4 {
-            match &self.pages[(addr >> PAGE_SHIFT) as usize] {
-                Some(page) => u32::from_le_bytes(page[off..off + 4].try_into().expect("4 bytes")),
-                None => 0,
-            }
+            self.page(addr).map_or(0, |page| {
+                u32::from_le_bytes(page[off..off + 4].try_into().expect("4 bytes"))
+            })
         } else {
             u32::from_le_bytes([
                 self.read_byte(addr),
@@ -240,6 +261,16 @@ mod tests {
         let addr = (1 << PAGE_SHIFT) - 2;
         mem.write_word(addr, 0x0102_0304);
         assert_eq!(mem.read_word(addr), 0x0102_0304);
+    }
+
+    #[test]
+    fn cross_directory_word() {
+        let mut mem = MainMemory::new(MemConfig::default());
+        let addr = (1 << DIR_SHIFT) - 2;
+        mem.write_word(addr, 0x0102_0304);
+        assert_eq!(mem.read_word(addr), 0x0102_0304);
+        assert_eq!(mem.read_half(addr + 2), 0x0102);
+        assert_eq!(mem.dir.iter().flatten().count(), 2);
     }
 
     #[test]

@@ -68,11 +68,13 @@ pub struct VCfg {
 }
 
 impl VCfg {
-    /// The block containing position `pos`.
+    /// The block containing position `pos`: blocks are contiguous and
+    /// in position order, so a binary search over their starts finds it.
     pub fn block_of(&self, pos: usize) -> usize {
         self.blocks
-            .iter()
-            .position(|b| b.first <= pos && pos < b.end)
+            .partition_point(|b| b.first <= pos)
+            .checked_sub(1)
+            .filter(|&bi| pos < self.blocks[bi].end)
             .expect("position belongs to a block")
     }
 }
@@ -130,7 +132,7 @@ pub fn build_vcfg(func: &FuncCode<'_>, items: &[VItem]) -> VCfg {
     }
 
     // Successors.
-    let block_at = |pos: usize| blocks.iter().position(|b| b.first == pos);
+    let block_at = |pos: usize| blocks.binary_search_by_key(&pos, |b| b.first).ok();
     let mut edits: Vec<(usize, Vec<usize>)> = Vec::new();
     for (bi, block) in blocks.iter().enumerate() {
         let mut succs = Vec::new();

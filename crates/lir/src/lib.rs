@@ -9,9 +9,11 @@
 //!   ([`VReg`], [`VOp`], [`VInst`], [`VItem`], [`VModule`]);
 //! * [`mod@cfg`] — per-function basic-block splitting and successor edges
 //!   over the virtual code;
-//! * [`liveness`] — backward liveness dataflow: live intervals for
-//!   linear scan, block-boundary live sets for dead-code elimination,
-//!   and the precise live-across-call sets the allocator saves;
+//! * [`liveness`] — backward liveness dataflow over register bit sets
+//!   ([`VRegSet`]): block-boundary live sets ([`block_liveness`]) for
+//!   dead-code elimination and loop-invariant code motion, and, derived
+//!   from them, live intervals for linear scan and the precise
+//!   live-across-call sets the allocator saves;
 //! * [`mod@dom`] — the dominator tree over the CFG (iterative
 //!   Cooper–Harper–Kennedy);
 //! * [`mod@loops`] — the natural-loop forest derived from the back
@@ -102,7 +104,7 @@ pub mod vlir;
 
 pub use cfg::{build_vcfg, split_functions, FuncCode, VBlock, VCfg};
 pub use dom::DomTree;
-pub use liveness::{analyze, Interval, Liveness};
+pub use liveness::{analyze, block_liveness, BlockLiveness, Interval, Liveness, VRegSet};
 pub use loops::{header_lead, HeaderLead, LoopForest, NaturalLoop};
 pub use remark::Remark;
 pub use vlir::{VInst, VItem, VModule, VOp, VReg};

@@ -1,6 +1,15 @@
 //! Backward liveness dataflow over the virtual-register CFG.
 //!
-//! Produces, per function:
+//! The core is [`block_liveness`]: the registers live at each block's
+//! entry and exit, the least fixpoint of the backward dataflow
+//! equations. Every set is a [`VRegSet`], a dense bit set indexed by
+//! register id, so gen, kill, live-in and live-out are word arrays and
+//! a dataflow sweep ORs and ANDs words. Dead-code elimination and
+//! loop-invariant code motion ask only whether a register is live at a
+//! block boundary and call it directly.
+//!
+//! [`analyze`] derives from those block sets what the register
+//! allocator needs, per function:
 //!
 //! * one conservative live interval per virtual register (the `[first,
 //!   last]` position span of every point where the value is live, with
@@ -13,21 +22,161 @@
 //! guard is false the old value flows through, so the register must stay
 //! live (and keep the same physical register) across the guarded write.
 
-use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 use crate::cfg::{FuncCode, VCfg};
-use crate::vlir::VReg;
+use crate::vlir::{VInst, VReg};
 
-/// Defs and uses of one instruction, with guarded defs widened to uses.
-fn def_uses(inst: &crate::vlir::VInst) -> (Option<VReg>, Vec<VReg>) {
+/// The def and the uses of one instruction; a guarded def is a use too.
+fn def_uses(inst: &VInst) -> (Option<VReg>, impl Iterator<Item = VReg>) {
     let def = inst.op.def();
-    let mut uses: Vec<VReg> = inst.op.uses().into_iter().flatten().collect();
-    if let Some(d) = def {
-        if !inst.guard.is_always() {
-            uses.push(d);
+    let guarded = def.filter(|_| !inst.guard.is_always());
+    (def, inst.op.uses().into_iter().flatten().chain(guarded))
+}
+
+/// A set of virtual registers: a dense bit set indexed by register id.
+///
+/// [`VRegSet::iter`] yields registers in id order.
+#[derive(Clone, Default)]
+pub struct VRegSet {
+    words: Vec<u64>,
+}
+
+impl VRegSet {
+    /// An empty set that holds ids below `64 * words` without growing.
+    fn with_words(words: usize) -> VRegSet {
+        VRegSet {
+            words: vec![0; words],
         }
     }
-    (def, uses)
+
+    /// The word index and bit mask of `v`.
+    fn slot(v: VReg) -> (usize, u64) {
+        let id = v.id() as usize;
+        (id / 64, 1 << (id % 64))
+    }
+
+    /// Whether `v` is in the set.
+    pub fn contains(&self, v: &VReg) -> bool {
+        let (w, bit) = Self::slot(*v);
+        self.words.get(w).is_some_and(|&word| word & bit != 0)
+    }
+
+    /// Adds `v`; returns whether it was absent.
+    pub fn insert(&mut self, v: VReg) -> bool {
+        let (w, bit) = Self::slot(v);
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        let absent = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        absent
+    }
+
+    /// Removes `v`; returns whether it was present.
+    pub fn remove(&mut self, v: &VReg) -> bool {
+        let (w, bit) = Self::slot(*v);
+        match self.words.get_mut(w) {
+            Some(word) if *word & bit != 0 => {
+                *word &= !bit;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The registers, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    VReg::new(w as u32 * 64 + bit)
+                })
+            })
+        })
+    }
+}
+
+impl fmt::Debug for VRegSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+/// Registers live at each block's boundaries, indexed like
+/// [`VCfg::blocks`].
+#[derive(Debug)]
+pub struct BlockLiveness {
+    /// Registers live at each block's entry.
+    pub live_in: Vec<VRegSet>,
+    /// Registers live at each block's exit.
+    pub live_out: Vec<VRegSet>,
+}
+
+/// Computes the registers live at each block's entry and exit.
+pub fn block_liveness(func: &FuncCode<'_>, cfg: &VCfg) -> BlockLiveness {
+    let nblocks = cfg.blocks.len();
+    // One word per 64 ids up to the largest id the function names.
+    let words = func
+        .insts
+        .iter()
+        .flat_map(|(_, inst)| {
+            inst.op
+                .def()
+                .into_iter()
+                .chain(inst.op.uses().into_iter().flatten())
+        })
+        .map(|v| v.id() as usize / 64 + 1)
+        .max()
+        .unwrap_or(0);
+    let empty = VRegSet::with_words(words);
+
+    // Block-level gen (upward-exposed uses) and kill (defs).
+    let mut gen = vec![empty.clone(); nblocks];
+    let mut kill = vec![empty.clone(); nblocks];
+    for ((block, gen), kill) in cfg.blocks.iter().zip(&mut gen).zip(&mut kill) {
+        for (_, inst) in &func.insts[block.first..block.end] {
+            let (def, uses) = def_uses(inst);
+            for u in uses {
+                if !kill.contains(&u) {
+                    gen.insert(u);
+                }
+            }
+            if let Some(d) = def {
+                kill.insert(d);
+            }
+        }
+    }
+
+    // Iterate live_in/live_out to the least fixpoint (backward problem).
+    // Starting from empty sets, every set only grows, so live-out
+    // accumulates its successors' live-in in place.
+    let mut live_in = vec![empty.clone(); nblocks];
+    let mut live_out = vec![empty; nblocks];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for bi in (0..nblocks).rev() {
+            let out = &mut live_out[bi].words;
+            for &s in &cfg.blocks[bi].succs {
+                for (o, &i) in out.iter_mut().zip(&live_in[s].words) {
+                    *o |= i;
+                }
+            }
+            let (gen, kill) = (&gen[bi].words, &kill[bi].words);
+            for (w, inn) in live_in[bi].words.iter_mut().enumerate() {
+                let new = gen[w] | (out[w] & !kill[w]);
+                if new != *inn {
+                    *inn = new;
+                    changed = true;
+                }
+            }
+        }
+    }
+    BlockLiveness { live_in, live_out }
 }
 
 /// A live interval over instruction positions, inclusive on both ends.
@@ -49,106 +198,77 @@ pub struct Liveness {
     /// the virtual registers live after the call, sorted by id.
     pub live_across_calls: Vec<Vec<VReg>>,
     /// Registers live at each block's entry (indexed like `VCfg::blocks`).
-    pub block_live_in: Vec<HashSet<VReg>>,
+    pub block_live_in: Vec<VRegSet>,
     /// Registers live at each block's exit (indexed like `VCfg::blocks`).
-    pub block_live_out: Vec<HashSet<VReg>>,
+    pub block_live_out: Vec<VRegSet>,
 }
 
-/// Computes liveness for one function.
+/// Computes liveness for one function: the block sets of
+/// [`block_liveness`] plus the intervals and live-across-call sets
+/// derived from them.
 pub fn analyze(func: &FuncCode<'_>, cfg: &VCfg) -> Liveness {
-    let nblocks = cfg.blocks.len();
+    let BlockLiveness { live_in, live_out } = block_liveness(func, cfg);
 
-    // Block-level gen (upward-exposed uses) and kill (defs).
-    let mut gen: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    let mut kill: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    for (bi, block) in cfg.blocks.iter().enumerate() {
-        for pos in block.first..block.end {
-            let (def, uses) = def_uses(func.insts[pos].1);
-            for u in uses {
-                if !kill[bi].contains(&u) {
-                    gen[bi].insert(u);
-                }
-            }
-            if let Some(d) = def {
-                kill[bi].insert(d);
-            }
+    // Intervals: each block's boundary sets and every def and use widen
+    // the register's span. `(usize::MAX, 0)` marks an id never seen.
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    let mut extend = |v: VReg, pos: usize| {
+        let id = v.id() as usize;
+        if id >= ranges.len() {
+            ranges.resize(id + 1, (usize::MAX, 0));
         }
-    }
-
-    // Iterate live_in/live_out to a fixpoint (backward problem).
-    let mut live_in: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    let mut live_out: Vec<HashSet<VReg>> = vec![HashSet::new(); nblocks];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for bi in (0..nblocks).rev() {
-            let mut out: HashSet<VReg> = HashSet::new();
-            for &s in &cfg.blocks[bi].succs {
-                out.extend(live_in[s].iter().copied());
-            }
-            let mut inn: HashSet<VReg> = gen[bi].clone();
-            inn.extend(out.difference(&kill[bi]).copied());
-            if out != live_out[bi] || inn != live_in[bi] {
-                changed = true;
-                live_out[bi] = out;
-                live_in[bi] = inn;
-            }
-        }
-    }
-
-    // Intervals: walk each block backwards from its live-out set.
-    let mut ranges: HashMap<VReg, (usize, usize)> = HashMap::new();
-    let extend = |v: VReg, pos: usize, ranges: &mut HashMap<VReg, (usize, usize)>| {
-        let e = ranges.entry(v).or_insert((pos, pos));
-        e.0 = e.0.min(pos);
-        e.1 = e.1.max(pos);
+        let r = &mut ranges[id];
+        r.0 = r.0.min(pos);
+        r.1 = r.1.max(pos);
     };
     for (bi, block) in cfg.blocks.iter().enumerate() {
         if block.first == block.end {
             continue;
         }
-        for &v in &live_out[bi] {
-            extend(v, block.end - 1, &mut ranges);
+        for v in live_out[bi].iter() {
+            extend(v, block.end - 1);
         }
-        for &v in &live_in[bi] {
-            extend(v, block.first, &mut ranges);
+        for v in live_in[bi].iter() {
+            extend(v, block.first);
         }
-        for pos in block.first..block.end {
-            let (def, uses) = def_uses(func.insts[pos].1);
-            for u in uses {
-                extend(u, pos, &mut ranges);
-            }
-            if let Some(d) = def {
-                extend(d, pos, &mut ranges);
+        for (pos, (_, inst)) in (block.first..).zip(&func.insts[block.first..block.end]) {
+            let (def, uses) = def_uses(inst);
+            for v in uses.chain(def) {
+                extend(v, pos);
             }
         }
     }
-    let mut intervals: Vec<Interval> = ranges
-        .into_iter()
-        .map(|(vreg, (start, end))| Interval { vreg, start, end })
+    let mut intervals: Vec<Interval> = (0u32..)
+        .zip(ranges)
+        .filter(|&(_, (start, _))| start != usize::MAX)
+        .map(|(id, (start, end))| Interval {
+            vreg: VReg::new(id),
+            start,
+            end,
+        })
         .collect();
-    intervals.sort_by_key(|iv| (iv.start, iv.vreg.id()));
+    intervals.sort_unstable_by_key(|iv| (iv.start, iv.vreg.id()));
 
     // Per-call live-after sets: walk the call's block backwards from its
     // live-out, stopping once the call position is reached.
-    let mut live_across_calls = Vec::with_capacity(cfg.call_positions.len());
-    for &call_pos in &cfg.call_positions {
-        let bi = cfg.block_of(call_pos);
-        let block = &cfg.blocks[bi];
-        let mut live: HashSet<VReg> = live_out[bi].clone();
-        for pos in (call_pos + 1..block.end).rev() {
-            let (def, uses) = def_uses(func.insts[pos].1);
-            if let Some(d) = def {
-                live.remove(&d);
+    let live_across_calls = cfg
+        .call_positions
+        .iter()
+        .map(|&call_pos| {
+            let bi = cfg.block_of(call_pos);
+            let mut live = live_out[bi].clone();
+            for (_, inst) in func.insts[call_pos + 1..cfg.blocks[bi].end].iter().rev() {
+                let (def, uses) = def_uses(inst);
+                if let Some(d) = def {
+                    live.remove(&d);
+                }
+                for u in uses {
+                    live.insert(u);
+                }
             }
-            for u in uses {
-                live.insert(u);
-            }
-        }
-        let mut sorted: Vec<VReg> = live.into_iter().collect();
-        sorted.sort_by_key(|v| v.id());
-        live_across_calls.push(sorted);
-    }
+            live.iter().collect()
+        })
+        .collect();
 
     Liveness {
         intervals,

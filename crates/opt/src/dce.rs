@@ -18,9 +18,8 @@ pub(crate) fn run(module: &mut VModule) -> bool {
     let mut marked: BTreeSet<usize> = BTreeSet::new();
     for func in &patmos_lir::split_functions(&module.items) {
         let cfg = patmos_lir::build_vcfg(func, &module.items);
-        let live_res = patmos_lir::analyze(func, &cfg);
-        for (bi, block) in cfg.blocks.iter().enumerate() {
-            let mut live = live_res.block_live_out[bi].clone();
+        let live_out = patmos_lir::block_liveness(func, &cfg).live_out;
+        for (block, mut live) in cfg.blocks.iter().zip(live_out) {
             for pos in (block.first..block.end).rev() {
                 let (item_idx, inst) = (func.insts[pos].0, func.insts[pos].1);
                 let def = inst.op.def();

@@ -66,7 +66,7 @@ fn plan_function(
     let cfg = patmos_lir::build_vcfg(func, items);
     let dom = patmos_lir::DomTree::build(&cfg);
     let forest = patmos_lir::LoopForest::build_with_dom(&cfg, &dom);
-    let liveness = patmos_lir::analyze(func, &cfg);
+    let live_in = patmos_lir::block_liveness(func, &cfg).live_in;
 
     // Innermost first: deepest loops claim their instructions before
     // the enclosing ones look.
@@ -119,12 +119,13 @@ fn plan_function(
 
         // Invariant closure.
         let mut marked: Vec<usize> = Vec::new(); // positions, program order
+        let mut is_marked = vec![false; func.insts.len()];
         let mut marked_defs: HashSet<VReg> = HashSet::new();
         loop {
             let mut grew = false;
             for &pos in &positions {
                 let (item_idx, inst) = (func.insts[pos].0, func.insts[pos].1);
-                if taken.contains(&item_idx) || marked.contains(&pos) || !inst.guard.is_always() {
+                if taken.contains(&item_idx) || is_marked[pos] || !inst.guard.is_always() {
                     continue;
                 }
                 let hoistable_op = match &inst.op {
@@ -136,9 +137,7 @@ fn plan_function(
                     continue;
                 }
                 let Some(d) = inst.op.def() else { continue };
-                if def_count.get(&d).copied().unwrap_or(0) != 1
-                    || liveness.block_live_in[lp.header].contains(&d)
-                {
+                if def_count.get(&d).copied().unwrap_or(0) != 1 || live_in[lp.header].contains(&d) {
                     continue;
                 }
                 let uses_ok = inst.op.uses().into_iter().flatten().all(|u| {
@@ -149,6 +148,7 @@ fn plan_function(
                     continue;
                 }
                 marked.push(pos);
+                is_marked[pos] = true;
                 marked_defs.insert(d);
                 grew = true;
             }

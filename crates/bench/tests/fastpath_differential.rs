@@ -9,7 +9,8 @@
 //! speed is the only thing allowed to differ.
 //!
 //! Debug builds check a fixed corner sample to keep tier-1 `cargo
-//! test` fast; the release perf-trajectory job sweeps the full matrix.
+//! test` fast; release builds sweep the full matrix (CI runs it on
+//! every toolchain entry of its build-test job).
 
 use patmos::compiler::{compile, CompileOptions};
 use patmos::isa::Reg;

@@ -246,6 +246,45 @@ fn run_scheduler(
     }
 }
 
+/// Everything one run of the compile pipeline produces before
+/// emission.
+struct Pipeline {
+    /// The virtual-register LIR handed to the allocator.
+    vmodule: patmos_lir::VModule,
+    opt: Option<patmos_opt::OptReport>,
+    allocation: AllocReport,
+    sched: Option<patmos_sched::SchedReport>,
+    srcmap: SourceMap,
+    scheduled: sched::ScheduledModule,
+}
+
+/// Runs the pipeline up to a scheduled module: parse → lower →
+/// optimise → register-allocate → schedule. `trace` asks the mid-end
+/// for its per-pass dumps.
+fn run_pipeline(
+    source: &str,
+    options: &CompileOptions,
+    trace: bool,
+) -> Result<Pipeline, CompileError> {
+    let program = parse(source)?;
+    let (mut vmodule, mut srcmap) = codegen::lower(&program, options)?;
+    let opt = (options.opt_level >= 1)
+        .then(|| patmos_opt::optimize_with(&mut vmodule, opt_config(options, trace)));
+    if let Some(report) = &opt {
+        srcmap.apply_inlines(&report.inlines);
+    }
+    let (lir, allocation) = patmos_regalloc::regalloc(&options.constraints(), &vmodule)?;
+    let (scheduled, sched) = run_scheduler(lir, options);
+    Ok(Pipeline {
+        vmodule,
+        opt,
+        allocation,
+        sched,
+        srcmap,
+        scheduled,
+    })
+}
+
 /// Compiles PatC source to Patmos assembly text.
 ///
 /// # Errors
@@ -254,15 +293,8 @@ fn run_scheduler(
 /// unsupported constructs (recursion is allowed here but rejected later
 /// by the WCET analysis), or missing loop bounds.
 pub fn compile_to_asm(source: &str, options: &CompileOptions) -> Result<String, CompileError> {
-    let program = parse(source)?;
-    let (mut vlir, mut srcmap) = codegen::lower(&program, options)?;
-    if options.opt_level >= 1 {
-        let report = patmos_opt::optimize_with(&mut vlir, opt_config(options, false));
-        srcmap.apply_inlines(&report.inlines);
-    }
-    let (lir, _) = patmos_regalloc::regalloc(&options.constraints(), &vlir)?;
-    let (scheduled, _) = run_scheduler(lir, options);
-    Ok(sched::emit_with_map(&scheduled, &srcmap))
+    let p = run_pipeline(source, options, false)?;
+    Ok(sched::emit_with_map(&p.scheduled, &p.srcmap))
 }
 
 /// Intermediate artefacts of one compilation, for inspection tools
@@ -298,24 +330,15 @@ pub fn compile_with_artifacts(
     source: &str,
     options: &CompileOptions,
 ) -> Result<CompileArtifacts, CompileError> {
-    let program = parse(source)?;
-    let (mut vlir, mut srcmap) = codegen::lower(&program, options)?;
-    let opt = (options.opt_level >= 1)
-        .then(|| patmos_opt::optimize_with(&mut vlir, opt_config(options, true)));
-    if let Some(report) = &opt {
-        srcmap.apply_inlines(&report.inlines);
-    }
-    let rendered = vlir.render();
-    let (lir, allocation) = patmos_regalloc::regalloc(&options.constraints(), &vlir)?;
-    let (scheduled, sched_report) = run_scheduler(lir, options);
-    let asm = sched::emit_with_map(&scheduled, &srcmap);
+    let p = run_pipeline(source, options, true)?;
+    let asm = sched::emit_with_map(&p.scheduled, &p.srcmap);
     Ok(CompileArtifacts {
-        vmodule: vlir,
-        vlir: rendered,
-        opt,
-        allocation,
-        sched: sched_report,
-        srcmap,
+        vlir: p.vmodule.render(),
+        vmodule: p.vmodule,
+        opt: p.opt,
+        allocation: p.allocation,
+        sched: p.sched,
+        srcmap: p.srcmap,
         asm,
     })
 }
@@ -341,12 +364,7 @@ pub fn compile_stats(
     source: &str,
     options: &CompileOptions,
 ) -> Result<(usize, usize), CompileError> {
-    let program = parse(source)?;
-    let (mut vlir, _) = codegen::lower(&program, options)?;
-    if options.opt_level >= 1 {
-        patmos_opt::optimize_with(&mut vlir, opt_config(options, false));
-    }
-    let (lir, _) = patmos_regalloc::regalloc(&options.constraints(), &vlir)?;
-    let (scheduled, _) = run_scheduler(lir, options);
-    Ok(scheduled.bundle_stats())
+    Ok(run_pipeline(source, options, false)?
+        .scheduled
+        .bundle_stats())
 }

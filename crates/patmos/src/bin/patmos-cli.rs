@@ -55,9 +55,10 @@
 //! executed stack-cache operations, and — for `.patc` inputs — the
 //! static loops-unrolled/loops-pipelined counts. `--host-stats` extends
 //! `run` with host-side throughput: wall-clock time, simulated cycles
-//! per host second, and the fast-path/predecoded coverage of the
-//! simulator's tiered engine; `--slow-path` forces the reference
-//! interpreter (guest cycles are bit-identical either way).
+//! per host second, and the share of guest cycles the simulator's
+//! fast engine retired from predecoded bundles; `--slow-path` forces
+//! the reference interpreter (guest cycles are bit-identical either
+//! way).
 //!
 //! `profile` runs the program under the structured tracer and folds
 //! every retired bundle and attributed stall onto functions and
@@ -602,14 +603,9 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             stats.cycles as f64 / secs / 1e6
         );
         println!(
-            "fast-path cover  = {:.1}% of cycles ({} bundles)",
+            "predecoded cover = {:.1}% of cycles ({} bundles)",
             host.fast_coverage(stats.cycles) * 100.0,
             host.fast_bundles
-        );
-        println!(
-            "predecoded cover = {:.1}% of cycles ({} bundles)",
-            host.predecoded_coverage(stats.cycles) * 100.0,
-            host.fast_bundles + host.pre_bundles
         );
     }
     Ok(())

@@ -674,7 +674,7 @@ mod tests {
         );
         sim.run().expect("runs");
         assert_eq!(
-            sim.host_stats().fast_bundles + sim.host_stats().pre_bundles,
+            sim.host_stats().fast_bundles,
             0,
             "armed runs must take the reference interpreter"
         );

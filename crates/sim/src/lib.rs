@@ -28,11 +28,12 @@
 //!
 //! Untraced runs execute on a host-side fast engine — predecoded bundles
 //! whose lifetime is keyed to the method cache's own fills and
-//! evictions, plus a basic-block fast path for stall-free bundle runs —
-//! that is bit-identical in guest cycles, [`Stats`], and results to the
-//! reference interpreter ([`SimConfig::fast_path`] `= false` forces the
-//! latter; tracing always uses it). [`Simulator::host_stats`] reports
-//! how much work each engine tier retired ([`HostStats`]).
+//! evictions, retired one step at a time through the same instruction
+//! semantics as the reference interpreter — that is bit-identical in
+//! guest cycles, [`Stats`], and results to the reference interpreter
+//! ([`SimConfig::fast_path`] `= false` forces the latter; tracing always
+//! uses it). [`Simulator::host_stats`] reports how much work the fast
+//! engine retired ([`HostStats`]).
 //!
 //! # Example
 //!

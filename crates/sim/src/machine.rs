@@ -1,8 +1,6 @@
 //! The timed interpreter: one Patmos core, cycle-exact under the
 //! visible-delay model.
 
-use std::sync::Arc;
-
 use patmos_asm::{FuncInfo, ObjectImage};
 use patmos_isa::{
     timing, AccessSize, Bundle, FlowKind, Inst, MemArea, Op, Pred, Reg, SpecialReg, LINK_REG,
@@ -43,33 +41,6 @@ struct PendingFlow {
     slots_left: u32,
 }
 
-/// The Stats counters a fast-class bundle can touch, accumulated as
-/// deltas inside a burst and flushed to [`Stats`] in one step at exit.
-#[derive(Debug, Clone, Copy, Default)]
-struct FastDeltas {
-    bundles: u64,
-    issue_cycles: u64,
-    nops: u64,
-    insts_executed: u64,
-    insts_annulled: u64,
-    second_slots_used: u64,
-    nop_bundles: u64,
-    taken_branches: u64,
-    untaken_branches: u64,
-    stack_ops: u64,
-}
-
-/// The mutable scalars of a fast burst, carried between the burst
-/// driver (which owns the flush) and the hot loop (which keeps them in
-/// locals).
-struct BurstState {
-    now: u64,
-    bundle_index: u64,
-    pc: u32,
-    pend: Option<PendingFlow>,
-    d: FastDeltas,
-}
-
 /// Outcome of a completed run.
 #[derive(Debug, Clone, Copy)]
 pub struct RunResult {
@@ -79,27 +50,24 @@ pub struct RunResult {
     pub halt_pc: u32,
 }
 
-/// Host-side execution counters: which engine tier retired each bundle.
+/// Host-side execution counters: how much of the run the predecoded
+/// fast engine retired.
 ///
 /// These are *not* part of [`Stats`] — they describe how fast the host
 /// simulated, never what the guest did, and must stay invisible to the
 /// bit-identity contract between the fast and reference engines.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostStats {
-    /// Bundles retired inside the basic-block fast loop.
+    /// Bundles retired from predecoded bundles by the fast engine.
     pub fast_bundles: u64,
-    /// Guest cycles that elapsed inside the basic-block fast loop.
+    /// Guest cycles that elapsed in the fast engine's predecoded steps
+    /// (the cold-start method-cache fill included).
     pub fast_cycles: u64,
-    /// Bundles retired by the general predecoded step (outside the fast
-    /// loop: memory operations, calls, returns, halt).
-    pub pre_bundles: u64,
-    /// Guest cycles that elapsed in the general predecoded step.
-    pub pre_cycles: u64,
 }
 
 impl HostStats {
-    /// Fraction of all guest cycles retired via the basic-block fast
-    /// path (`0.0` when nothing ran).
+    /// Fraction of all guest cycles retired from predecoded bundles
+    /// (`0.0` when nothing ran).
     pub fn fast_coverage(&self, total_cycles: u64) -> f64 {
         if total_cycles == 0 {
             0.0
@@ -107,22 +75,12 @@ impl HostStats {
             self.fast_cycles as f64 / total_cycles as f64
         }
     }
-
-    /// Fraction of all guest cycles retired from predecoded bundles
-    /// (fast loop plus general predecoded step).
-    pub fn predecoded_coverage(&self, total_cycles: u64) -> f64 {
-        if total_cycles == 0 {
-            0.0
-        } else {
-            (self.fast_cycles + self.pre_cycles) as f64 / total_cycles as f64
-        }
-    }
 }
 
 /// One instruction slot with its decode-time-constant facts precomputed:
 /// the registers it reads, whether it is a `nop`, and whether it reads
 /// `sl`/`sh` (the multiply-gap check). Recomputing these per retired
-/// bundle is what the predecode tier removes from the hot loop.
+/// bundle is what predecoding removes from the hot loop.
 #[derive(Debug, Clone, Copy)]
 struct PreSlot {
     inst: Inst,
@@ -149,17 +107,13 @@ impl PreSlot {
 }
 
 /// A predecoded bundle: both slots as [`PreSlot`]s plus the bundle-level
-/// facts (width, all-nop filler, fast-path eligibility).
+/// facts (width, all-nop filler).
 #[derive(Debug, Clone, Copy)]
 struct PreBundle {
     first: PreSlot,
     second: Option<PreSlot>,
     width: u32,
     all_nop: bool,
-    /// Whether every slot is in the fast class: operations that never
-    /// touch a cache, the write buffer, the split-load port, or the
-    /// method cache — so retiring them can never stall or trace.
-    fast: bool,
 }
 
 impl PreBundle {
@@ -170,56 +124,16 @@ impl PreBundle {
         PreBundle {
             width: bundle.width_words(),
             all_nop: first.is_nop && second.as_ref().is_none_or(|s| s.is_nop),
-            fast: op_is_fast(&first.inst.op)
-                && second.as_ref().is_none_or(|s| op_is_fast(&s.inst.op)),
             first,
             second,
         }
     }
 }
 
-/// The fast class: operations that can never stall and never trace —
-/// register-file ops, plain branches, and stack-cache-window or
-/// scratchpad accesses (both are on-chip single-cycle memories with no
-/// trace events). Everything that can reach the data/static caches, the
-/// write buffer, the split-load port, or the method cache (call/return)
-/// is excluded, as is `halt`.
-fn op_is_fast(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Nop
-            | Op::AluR { .. }
-            | Op::AluI { .. }
-            | Op::Mul { .. }
-            | Op::LoadImmLow { .. }
-            | Op::LoadImmHigh { .. }
-            | Op::LoadImm32 { .. }
-            | Op::Cmp { .. }
-            | Op::CmpI { .. }
-            | Op::PredSet { .. }
-            | Op::Mts { .. }
-            | Op::Mfs { .. }
-            | Op::Br { .. }
-            | Op::Load {
-                area: MemArea::Stack | MemArea::Spm,
-                ..
-            }
-            | Op::Store {
-                area: MemArea::Stack | MemArea::Spm,
-                ..
-            }
-    )
-}
-
 /// The predecoded image of one function, built when the method cache
 /// fills it and dropped when the method cache evicts it. `pre[i]` is
 /// `None` at bundle-continuation words, exactly mirroring the `bundles`
-/// table so a bad PC faults identically on every tier.
-///
-/// Held behind an [`Arc`] so the fast loop can keep a handle to the
-/// current function across `&mut self` steps: fast-class bundles can
-/// never trigger a method-cache fill, so the decoded map cannot change
-/// under the handle mid-burst.
+/// table so a bad PC faults identically on both engines.
 #[derive(Debug, Clone)]
 struct DecodedFunc {
     start_word: u32,
@@ -272,7 +186,7 @@ pub struct Simulator {
     /// Predecoded bundles, parallel to `functions`; `Some` exactly while
     /// the function is method-cache resident (plus the documented
     /// oversized-streaming exception in `ensure_decoded`).
-    decoded: Vec<Option<Arc<DecodedFunc>>>,
+    decoded: Vec<Option<DecodedFunc>>,
     /// Index into `decoded` of the function the PC was last found in — a
     /// hint that makes the per-bundle lookup O(1) on the hot path.
     cur_func: usize,
@@ -427,7 +341,7 @@ impl Simulator {
         s
     }
 
-    /// Host-side engine-tier counters (how the run was simulated, not
+    /// Host-side fast-engine counters (how the run was simulated, not
     /// what the guest did).
     pub fn host_stats(&self) -> HostStats {
         self.host
@@ -493,24 +407,10 @@ impl Simulator {
         })
     }
 
-    /// The fast engine's driver: basic-block bursts over predecoded
-    /// bundles. A burst that stops at a decoded non-fast bundle hands
-    /// it straight to the general predecoded step (no second lookup);
-    /// every other stop takes the full fallback path.
+    /// The fast engine's driver: one predecoded step per bundle.
     fn run_fast_engine(&mut self) -> Result<(), SimError> {
         while !self.halted {
-            let stop = self.run_fast()?;
-            if self.halted {
-                break;
-            }
-            if let Some(pb) = stop {
-                let before = self.now;
-                self.step_decoded(&pb)?;
-                self.host.pre_bundles += 1;
-                self.host.pre_cycles += self.now - before;
-            } else {
-                self.step_pre()?;
-            }
+            self.step_pre()?;
         }
         Ok(())
     }
@@ -674,39 +574,16 @@ impl Simulator {
                     .and_then(|b| b.map(PreBundle::new)),
             );
         }
-        self.decoded[idx] = Some(Arc::new(DecodedFunc {
+        self.decoded[idx] = Some(DecodedFunc {
             start_word: f.start_word,
             end_word: end,
             pre,
-        }));
+        });
     }
 
-    /// The decoded function containing `pc`, if any: the `cur_func` hint
-    /// first (O(1) on the hot path), then a scan that refreshes the
-    /// hint. The returned handle stays valid across steps — fast-class
-    /// bundles never refill the method cache, so nothing drops it
-    /// mid-burst.
-    #[inline]
-    fn decoded_func_at(&mut self, pc: u32) -> Option<Arc<DecodedFunc>> {
-        if let Some(Some(df)) = self.decoded.get(self.cur_func) {
-            if df.contains(pc) {
-                return Some(df.clone());
-            }
-        }
-        for (i, d) in self.decoded.iter().enumerate() {
-            if let Some(df) = d {
-                if df.contains(pc) {
-                    self.cur_func = i;
-                    return Some(df.clone());
-                }
-            }
-        }
-        None
-    }
-
-    /// The predecoded bundle at `pc`, by value — the general step copies
-    /// one 48-byte bundle instead of retaining a whole-function handle
-    /// (no atomic refcount traffic on the per-bundle path).
+    /// The predecoded bundle at `pc`, by value (retiring it needs
+    /// `&mut self`): the `cur_func` hint first, O(1) on the hot path,
+    /// then a scan that refreshes the hint.
     #[inline]
     fn pre_bundle_copy(&mut self, pc: u32) -> Option<PreBundle> {
         if let Some(Some(df)) = self.decoded.get(self.cur_func) {
@@ -725,23 +602,17 @@ impl Simulator {
         None
     }
 
-    fn check_reg_ready(&self, reg: Reg) -> Result<(), SimError> {
-        self.check_reg_ready_at(reg, self.pc, self.bundle_index)
-    }
-
-    /// [`Simulator::check_reg_ready`] against an explicit PC and bundle
-    /// index — the batched fast loop keeps both in locals.
     #[inline(always)]
-    fn check_reg_ready_at(&self, reg: Reg, pc: u32, bundle_index: u64) -> Result<(), SimError> {
+    fn check_reg_ready(&self, reg: Reg) -> Result<(), SimError> {
         if !self.config.strict {
             return Ok(());
         }
         let ready = self.reg_ready[reg.index() as usize];
-        if ready > bundle_index {
+        if ready > self.bundle_index {
             return Err(SimError::DelayViolation {
-                pc,
+                pc: self.pc,
                 reg,
-                bundles_short: (ready - bundle_index) as u32,
+                bundles_short: (ready - self.bundle_index) as u32,
             });
         }
         Ok(())
@@ -789,20 +660,16 @@ impl Simulator {
     }
 
     fn check_stack_window(&self, ea: u32) -> Result<(), SimError> {
-        self.check_stack_window_at(ea, self.pc)
-    }
-
-    /// [`Simulator::check_stack_window`] against an explicit PC — the
-    /// batched fast loop keeps the PC in a local.
-    #[inline(always)]
-    fn check_stack_window_at(&self, ea: u32, pc: u32) -> Result<(), SimError> {
         if !self.config.strict {
             return Ok(());
         }
         let st = self.scache.stack_top();
         let offset_words = ea.wrapping_sub(st) / 4;
         if ea < st || !self.scache.covers(offset_words) {
-            return Err(SimError::StackWindowViolation { pc, offset_words });
+            return Err(SimError::StackWindowViolation {
+                pc: self.pc,
+                offset_words,
+            });
         }
         Ok(())
     }
@@ -1060,7 +927,7 @@ impl Simulator {
 
     /// Executes one prepared slot's effects: the counter updates, the
     /// architectural state change, and any stall it triggers. Shared by
-    /// the reference interpreter and both predecoded tiers, so the
+    /// the reference interpreter and the predecoded step, so the
     /// instruction semantics exist exactly once.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
@@ -1351,7 +1218,7 @@ impl Simulator {
         Ok(())
     }
 
-    /// The bundle tail shared by every execution tier: the retire event,
+    /// The bundle tail shared by both engines: the retire event,
     /// the halt short-circuit, the PC advance, and delay-slot
     /// bookkeeping ending in a redirect.
     #[allow(clippy::too_many_arguments)]
@@ -1414,23 +1281,11 @@ impl Simulator {
     /// engine's prep loop, so violations fault identically.
     #[inline(always)]
     fn prep_slot(&self, slot: &PreSlot) -> Result<(Inst, bool, [u32; 2]), SimError> {
-        self.prep_slot_at(slot, self.pc, self.bundle_index)
-    }
-
-    /// [`Simulator::prep_slot`] against an explicit PC and bundle index
-    /// — the batched fast loop keeps both in locals.
-    #[inline(always)]
-    fn prep_slot_at(
-        &self,
-        slot: &PreSlot,
-        pc: u32,
-        bundle_index: u64,
-    ) -> Result<(Inst, bool, [u32; 2]), SimError> {
         for reg in slot.uses.into_iter().flatten() {
-            self.check_reg_ready_at(reg, pc, bundle_index)?;
+            self.check_reg_ready(reg)?;
         }
-        if self.config.strict && slot.mfs_mul && self.mul_ready > bundle_index {
-            return Err(SimError::MulGapViolation { pc });
+        if self.config.strict && slot.mfs_mul && self.mul_ready > self.bundle_index {
+            return Err(SimError::MulGapViolation { pc: self.pc });
         }
         let guard_true = slot.inst.guard.eval(&self.preds);
         let vals = [
@@ -1510,14 +1365,11 @@ impl Simulator {
         )
     }
 
-    /// One general predecoded step: any operation with the trace
-    /// machinery compiled out, falling back to the reference step for
-    /// code outside the decoded map (including bad PCs, which fault
+    /// One predecoded step: any operation with the trace machinery
+    /// compiled out, falling back to the reference step for code
+    /// outside the decoded map (including bad PCs, which fault
     /// identically there).
     fn step_pre(&mut self) -> Result<(), SimError> {
-        if self.halted {
-            return Ok(());
-        }
         if let Some(e) = &self.decode_error {
             return Err(e.clone());
         }
@@ -1525,12 +1377,12 @@ impl Simulator {
             self.started = true;
             // Cold start: the entry function streams into the method
             // cache. The fill stall belongs to this engine's driver, so
-            // its cycles attribute to the predecoded tier.
+            // its cycles attribute to the fast engine.
             let before = self.now;
             if let Some(f) = self.function_at(self.pc).cloned() {
                 self.method_fill(f.start_word, f.size_words, &mut NullSink);
             }
-            self.host.pre_cycles += self.now - before;
+            self.host.fast_cycles += self.now - before;
         }
         if self.now >= self.config.max_cycles {
             return Err(SimError::MaxCyclesExceeded {
@@ -1544,353 +1396,12 @@ impl Simulator {
             Some(pb) => {
                 let before = self.now;
                 self.step_decoded(&pb)?;
-                self.host.pre_bundles += 1;
-                self.host.pre_cycles += self.now - before;
+                self.host.fast_bundles += 1;
+                self.host.fast_cycles += self.now - before;
                 Ok(())
             }
             None => self.step_traced(&mut NullSink),
         }
-    }
-
-    /// The basic-block fast path: retires consecutive fast-class bundles
-    /// in a tight loop. Stops at the first bundle that could stall
-    /// (memory operations, call/return/halt), at a pending call/return
-    /// redirect (those fill the method cache), or off the decoded map —
-    /// the caller then takes one general step and re-enters.
-    ///
-    /// Fast-class bundles only ever advance `now` by their issue cycles
-    /// (they cannot stall), so the whole burst's guest cycles are
-    /// attributed in one subtraction at exit.
-    fn run_fast(&mut self) -> Result<Option<PreBundle>, SimError> {
-        if !self.started || self.decode_error.is_some() {
-            return Ok(None);
-        }
-        let entry_now = self.now;
-        let mut retired = 0u64;
-        let outcome = self.run_fast_burst(&mut retired);
-        self.host.fast_bundles += retired;
-        self.host.fast_cycles += self.now - entry_now;
-        outcome
-    }
-
-    /// The batched burst behind [`Simulator::run_fast`]: retires
-    /// fast-class bundles with the cycle counter, bundle index, PC,
-    /// pending branch, and every Stats counter a fast op can touch held
-    /// in locals, flushed back in one step when the burst exits — the
-    /// per-bundle field traffic of the general step collapses into
-    /// register arithmetic.
-    ///
-    /// Bit-identity with the reference interpreter holds because the
-    /// loop replays its exact phase order: prep faults before issue
-    /// accounting, exec faults after it (with the first slot's effects
-    /// already applied), and the locals are flushed on *every* exit —
-    /// including error paths — so the architectural state at a fault is
-    /// indistinguishable from the reference engine's.
-    /// Returns the decoded non-fast bundle the burst stopped at, if
-    /// that is why it stopped — the driver then retires it via the
-    /// general step without a second lookup.
-    fn run_fast_burst(&mut self, retired: &mut u64) -> Result<Option<PreBundle>, SimError> {
-        if let Some(flow) = &self.pending_flow {
-            if matches!(flow.target, FlowTarget::Call(_) | FlowTarget::Ret(_)) {
-                return Ok(None);
-            }
-        }
-        let mut st = BurstState {
-            now: self.now,
-            bundle_index: self.bundle_index,
-            pc: self.pc,
-            pend: self.pending_flow.take(),
-            d: FastDeltas::default(),
-        };
-        let outcome = self.fast_loop(&mut st);
-        self.now = st.now;
-        self.bundle_index = st.bundle_index;
-        self.pc = st.pc;
-        self.pending_flow = st.pend;
-        let d = st.d;
-        self.stats.bundles += d.bundles;
-        self.stats.issue_cycles += d.issue_cycles;
-        self.stats.nops += d.nops;
-        self.stats.insts_executed += d.insts_executed;
-        self.stats.insts_annulled += d.insts_annulled;
-        self.stats.second_slots_used += d.second_slots_used;
-        self.stats.nop_bundles += d.nop_bundles;
-        self.stats.taken_branches += d.taken_branches;
-        self.stats.untaken_branches += d.untaken_branches;
-        self.stats.stack_ops += d.stack_ops;
-        *retired += d.bundles;
-        outcome
-    }
-
-    /// The hot loop of [`Simulator::run_fast_burst`]. Every mutable
-    /// scalar lives in a local; `save!` writes them back at each exit.
-    fn fast_loop(&mut self, st: &mut BurstState) -> Result<Option<PreBundle>, SimError> {
-        let dual = self.config.dual_issue;
-        let max_cycles = self.config.max_cycles;
-        let mut now = st.now;
-        let mut bi = st.bundle_index;
-        let mut pc = st.pc;
-        let mut pend = st.pend.take();
-        let mut d = st.d;
-        macro_rules! save {
-            () => {{
-                st.now = now;
-                st.bundle_index = bi;
-                st.pc = pc;
-                st.pend = pend;
-                st.d = d;
-            }};
-        }
-        'refind: loop {
-            // Resolve the decoded function once per region; the inner
-            // loop then indexes it directly. The handle cannot go stale:
-            // nothing in the fast class fills or evicts.
-            let Some(df) = self.decoded_func_at(pc) else {
-                save!();
-                return Ok(None);
-            };
-            loop {
-                if now >= max_cycles {
-                    save!();
-                    return Err(SimError::MaxCyclesExceeded { limit: max_cycles });
-                }
-                if !df.contains(pc) {
-                    continue 'refind;
-                }
-                let Some(pb) = df.bundle_at(pc) else {
-                    save!();
-                    return Ok(None);
-                };
-                if !pb.fast {
-                    save!();
-                    return Ok(Some(*pb));
-                }
-
-                // --- Prep: faults leave the bundle unissued ---
-                let first = match self.prep_slot_at(&pb.first, pc, bi) {
-                    Ok(x) => x,
-                    Err(e) => {
-                        save!();
-                        return Err(e);
-                    }
-                };
-                let second = match &pb.second {
-                    Some(s) => match self.prep_slot_at(s, pc, bi) {
-                        Ok(x) => Some(x),
-                        Err(e) => {
-                            save!();
-                            return Err(e);
-                        }
-                    },
-                    None => None,
-                };
-
-                // --- Issue ---
-                let had_pending_flow = pend.is_some();
-                let issue_cycles = if dual || pb.second.is_none() { 1 } else { 2 };
-                now += issue_cycles;
-                bi += 1;
-                d.bundles += 1;
-                d.issue_cycles += issue_cycles;
-                if let Some((inst, guard_true, _)) = &second {
-                    if !matches!(inst.op, Op::Nop) && *guard_true {
-                        d.second_slots_used += 1;
-                    }
-                }
-                if pb.all_nop {
-                    d.nop_bundles += 1;
-                }
-
-                // --- Effects: faults flush the partial bundle ---
-                let this_pc = pc;
-                let mut new_flow: Option<PendingFlow> = None;
-                let (inst, guard_true, vals) = first;
-                if let Err(e) = self.exec_fast_slot(
-                    inst,
-                    guard_true,
-                    vals,
-                    this_pc,
-                    had_pending_flow,
-                    &mut new_flow,
-                    bi,
-                    &mut d,
-                ) {
-                    save!();
-                    return Err(e);
-                }
-                if let Some((inst, guard_true, vals)) = second {
-                    if let Err(e) = self.exec_fast_slot(
-                        inst,
-                        guard_true,
-                        vals,
-                        this_pc,
-                        had_pending_flow,
-                        &mut new_flow,
-                        bi,
-                        &mut d,
-                    ) {
-                        save!();
-                        return Err(e);
-                    }
-                }
-
-                // --- Advance PC and retire delay slots ---
-                pc = this_pc.wrapping_add(pb.width);
-                let fresh = new_flow.is_some();
-                if fresh {
-                    pend = new_flow;
-                }
-                if let Some(mut flow) = pend.take() {
-                    if !fresh {
-                        flow.slots_left = flow.slots_left.saturating_sub(1);
-                    }
-                    if flow.slots_left == 0 {
-                        match flow.target {
-                            FlowTarget::Jump(t) => pc = t,
-                            FlowTarget::Call(_) | FlowTarget::Ret(_) => {
-                                unreachable!("the fast class creates only branch flows")
-                            }
-                        }
-                    } else {
-                        pend = Some(flow);
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`Simulator::exec_slot`] specialised to the fast class: the same
-    /// effects in the same order, with the Stats increments routed to
-    /// the burst's local deltas and the bundle index taken from a local.
-    /// The differential sweep (`fastpath_differential`) pins its
-    /// equivalence to the reference interpreter op by op.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn exec_fast_slot(
-        &mut self,
-        inst: Inst,
-        guard_true: bool,
-        vals: [u32; 2],
-        this_pc: u32,
-        had_pending_flow: bool,
-        new_flow: &mut Option<PendingFlow>,
-        bi: u64,
-        d: &mut FastDeltas,
-    ) -> Result<(), SimError> {
-        if matches!(inst.op, Op::Nop) {
-            d.nops += 1;
-            return Ok(());
-        }
-        if !guard_true {
-            d.insts_annulled += 1;
-            // The only flow op in the fast class is a plain branch.
-            if inst.op.is_flow() {
-                d.untaken_branches += 1;
-            }
-            return Ok(());
-        }
-        d.insts_executed += 1;
-        match inst.op {
-            Op::AluR { op, rd, .. } => {
-                self.write_reg_ready_at(rd, op.apply(vals[0], vals[1]), bi);
-            }
-            Op::AluI { op, rd, imm, .. } => {
-                self.write_reg_ready_at(rd, op.apply(vals[0], imm as i32 as u32), bi);
-            }
-            Op::Mul { .. } => {
-                let prod = (vals[0] as i32 as i64).wrapping_mul(vals[1] as i32 as i64);
-                self.sl = prod as u32;
-                self.sh = (prod >> 32) as u32;
-                self.mul_ready = bi + timing::MUL_GAP as u64;
-            }
-            Op::LoadImmLow { rd, imm } => {
-                self.write_reg_ready_at(rd, imm as i16 as i32 as u32, bi);
-            }
-            Op::LoadImmHigh { rd, imm } => {
-                let low = self.regs[rd.index() as usize] & 0xffff;
-                self.write_reg_ready_at(rd, ((imm as u32) << 16) | low, bi);
-            }
-            Op::LoadImm32 { rd, imm } => {
-                self.write_reg_ready_at(rd, imm, bi);
-            }
-            Op::Cmp { op, pd, .. } => {
-                self.write_pred(pd, op.apply(vals[0], vals[1]));
-            }
-            Op::CmpI { op, pd, imm, .. } => {
-                self.write_pred(pd, op.apply(vals[0], imm as i32 as u32));
-            }
-            Op::PredSet { op, pd, p1, p2 } => {
-                let a = self.preds[p1.pred.index() as usize] ^ p1.negate;
-                let b = self.preds[p2.pred.index() as usize] ^ p2.negate;
-                self.write_pred(pd, op.apply(a, b));
-            }
-            Op::Load {
-                area: area @ (MemArea::Stack | MemArea::Spm),
-                size,
-                rd,
-                ra,
-                offset,
-            } => {
-                let ea = self.effective_address(area, ra, offset, size);
-                let value = if area == MemArea::Stack {
-                    self.check_stack_window_at(ea, this_pc)?;
-                    d.stack_ops += 1;
-                    self.mem_read(ea, size, false)
-                } else {
-                    self.mem_read(ea, size, true)
-                };
-                self.write_reg_ready_at(rd, value, bi + timing::LOAD_USE_GAP as u64);
-            }
-            Op::Store {
-                area: area @ (MemArea::Stack | MemArea::Spm),
-                size,
-                ra,
-                offset,
-                rs: _,
-            } => {
-                let ea = self.effective_address(area, ra, offset, size);
-                if area == MemArea::Stack {
-                    self.check_stack_window_at(ea, this_pc)?;
-                    d.stack_ops += 1;
-                    self.mem_write(ea, size, vals[1], false);
-                } else {
-                    self.mem_write(ea, size, vals[1], true);
-                }
-            }
-            Op::Mts { sd, .. } => match sd {
-                SpecialReg::Sl => self.sl = vals[0],
-                SpecialReg::Sh => self.sh = vals[0],
-                SpecialReg::Sm => self.sm = vals[0],
-                SpecialReg::St => self.scache.set_stack_top(vals[0] & !3),
-                SpecialReg::Ss => self.scache.set_spill_pointer(vals[0] & !3),
-            },
-            Op::Mfs { rd, ss } => {
-                let value = match ss {
-                    SpecialReg::Sl => self.sl,
-                    SpecialReg::Sh => self.sh,
-                    SpecialReg::Sm => self.sm,
-                    SpecialReg::St => self.scache.stack_top(),
-                    SpecialReg::Ss => self.scache.spill_pointer(),
-                };
-                self.write_reg_ready_at(rd, value, bi);
-            }
-            Op::Br { .. } => {
-                if had_pending_flow || new_flow.is_some() {
-                    return Err(SimError::FlowInDelaySlot { pc: this_pc });
-                }
-                d.taken_branches += 1;
-                let target = match inst.op.flow_kind() {
-                    FlowKind::Branch(off) => FlowTarget::Jump(this_pc.wrapping_add(off as u32)),
-                    _ => unreachable!("Br is a branch"),
-                };
-                *new_flow = Some(PendingFlow {
-                    target,
-                    slots_left: inst.delay_slots(),
-                });
-            }
-            _ => unreachable!("only fast-class ops reach the fast loop"),
-        }
-        Ok(())
     }
 
     fn redirect<S: TraceSink>(&mut self, target: FlowTarget, sink: &mut S) -> Result<(), SimError> {
@@ -1962,18 +1473,11 @@ impl Simulator {
     }
 
     fn write_reg(&mut self, rd: Reg, value: u32, extra_gap: u32) {
-        self.write_reg_ready_at(rd, value, self.bundle_index + extra_gap as u64);
-    }
-
-    /// [`Simulator::write_reg`] with the ready index precomputed — the
-    /// batched fast loop keeps the bundle index in a local.
-    #[inline(always)]
-    fn write_reg_ready_at(&mut self, rd: Reg, value: u32, ready: u64) {
         if rd.is_zero() {
             return;
         }
         self.regs[rd.index() as usize] = value;
-        self.reg_ready[rd.index() as usize] = ready;
+        self.reg_ready[rd.index() as usize] = self.bundle_index + extra_gap as u64;
     }
 
     fn write_pred(&mut self, pd: Pred, value: bool) {
@@ -2427,8 +1931,8 @@ end:
 
     #[test]
     fn fast_engine_is_bit_identical_to_reference() {
-        // The reconciliation program exercises every fast-path exit:
-        // calls and returns (method-cache fills), every cache, the write
+        // The reconciliation program exercises every stall source: calls
+        // and returns (method-cache fills), every cache, the write
         // buffer, and a split main-memory load.
         let src = "        .func callee\n        li r5 = 9\n        ret\n        nop\n        nop\n        .func main\n        .entry main\n        sres 2\n        lil r2 = 0x10000\n        swc [r2 + 0] = r0\n        lwc r1 = [r2 + 0]\n        nop\n        sws [r0 + 0] = r1\n        lws r6 = [r0 + 0]\n        nop\n        lil r3 = 0x20000\n        ldm [r3 + 0]\n        call callee\n        nop\n        wres r4\n        sfree 2\n        halt\n";
         let image = assemble(src).expect("assembles");
@@ -2452,50 +1956,76 @@ end:
         // The fast engine actually engaged; the reference engine left the
         // host counters untouched.
         let h = fast.host_stats();
-        assert!(h.fast_bundles > 0, "fast path covered some bundles");
-        assert!(h.pre_bundles > 0, "memory bundles took the general tier");
+        assert!(h.fast_bundles > 0, "fast engine covered some bundles");
         assert_eq!(slow.host_stats(), HostStats::default());
         assert!(h.fast_coverage(fast_result.stats.cycles) > 0.0);
-        assert!(h.predecoded_coverage(fast_result.stats.cycles) <= 1.0);
+        assert!(h.fast_coverage(fast_result.stats.cycles) <= 1.0);
     }
 
-    #[test]
-    fn fast_engine_reports_identical_errors() {
-        // A contract violation inside the fast class itself.
-        let image = assemble(
-            "        .func main\n        li r1 = 3\n        mul r1, r1\n        mfs r2 = sl\n        halt\n",
-        )
-        .expect("assembles");
-        let mut fast = Simulator::new(&image, SimConfig::default());
-        let fast_err = fast.run().expect_err("violates the mul gap");
+    /// Runs `src` on both engines, asserts that they stop with the same
+    /// error in the same state (counters, PC and cycle), and returns it.
+    fn engines_fail_alike(src: &str, config: SimConfig) -> SimError {
+        let image = assemble(src).expect("assembles");
+        let mut fast = Simulator::new(&image, config.clone());
+        let fast_err = fast.run().expect_err("the fast engine faults");
         let mut slow = Simulator::new(
             &image,
             SimConfig {
                 fast_path: false,
+                ..config
+            },
+        );
+        let slow_err = slow.run().expect_err("the reference engine faults");
+        assert_eq!(fast_err, slow_err);
+        assert_eq!(fast.stats(), slow.stats(), "identical up to the error");
+        assert_eq!(fast.pc(), slow.pc());
+        assert_eq!(fast.cycle(), slow.cycle());
+        fast_err
+    }
+
+    #[test]
+    fn fast_engine_reports_identical_errors() {
+        // Contract violations in straight-line register, scratchpad and
+        // stack-window code, each after some work has retired.
+        let err = engines_fail_alike(
+            "        .func main\n        li r1 = 3\n        mul r1, r1\n        mfs r2 = sl\n        halt\n",
+            SimConfig::default(),
+        );
+        assert!(matches!(err, SimError::MulGapViolation { .. }), "{err:?}");
+        let err = engines_fail_alike(
+            "        .func main\n        li r1 = 5\n        swl [r0 + 0] = r1\n        lwl r2 = [r0 + 0]\n        addi r3 = r2, 1\n        halt\n",
+            SimConfig::default(),
+        );
+        assert!(
+            matches!(err, SimError::DelayViolation { reg: Reg::R2, .. }),
+            "{err:?}"
+        );
+        let err = engines_fail_alike(
+            "        .func main\n        li r1 = 5\n        addi r2 = r1, 1\n        lws r3 = [r0 + 0]\n        halt\n",
+            SimConfig::default(),
+        );
+        assert!(
+            matches!(err, SimError::StackWindowViolation { .. }),
+            "{err:?}"
+        );
+        let err = engines_fail_alike(
+            "        .func main\n        li r1 = 5\n        br a\n        br a\na:\n        halt\n",
+            SimConfig::default(),
+        );
+        assert!(matches!(err, SimError::FlowInDelaySlot { .. }), "{err:?}");
+
+        // A cycle budget exhausted inside a tight loop.
+        let err = engines_fail_alike(
+            "        .func main\nspin:\n        br spin\n        nop\n        halt\n",
+            SimConfig {
+                max_cycles: 1000,
                 ..SimConfig::default()
             },
         );
-        assert_eq!(fast_err, slow.run().expect_err("violates the mul gap"));
-
-        // A cycle budget exhausted inside the tight loop.
-        let spin =
-            assemble("        .func main\nspin:\n        br spin\n        nop\n        halt\n")
-                .expect("assembles");
-        let cfg = SimConfig {
-            max_cycles: 1000,
-            ..SimConfig::default()
-        };
-        let mut fast = Simulator::new(&spin, cfg.clone());
-        let fast_err = fast.run().expect_err("exceeds the budget");
-        let mut slow = Simulator::new(
-            &spin,
-            SimConfig {
-                fast_path: false,
-                ..cfg
-            },
+        assert!(
+            matches!(err, SimError::MaxCyclesExceeded { limit: 1000 }),
+            "{err:?}"
         );
-        assert_eq!(fast_err, slow.run().expect_err("exceeds the budget"));
-        assert_eq!(fast.stats(), slow.stats(), "identical up to the error");
     }
 
     #[test]
